@@ -1,8 +1,9 @@
 // Distributed sweep throughput: the standard dist job (dist/job) run two
 // ways over the same recipe:
 //
-//   serial       — the in-process ResilienceAnalyzer reference, one worker
-//                  thread, one OpenMP thread (run_job_in_process).
+//   serial       — the in-process reference, every plan unchunked on one
+//                  engine, one worker thread, one OpenMP thread
+//                  (run_job_in_process).
 //   distributed  — a coordinator plus N worker loops (threads here; real
 //                  deployments use processes — the protocol is identical)
 //                  on a TCP loopback socket, each worker with its own

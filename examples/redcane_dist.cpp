@@ -32,7 +32,7 @@
 #include "dist/worker.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/fault.hpp"
+#include "util/fault.hpp"
 
 namespace {
 
@@ -189,14 +189,14 @@ int main(int argc, char** argv) {
 
   // Chaos knobs (tests/CI): arm the process-wide fault plan from the env.
   const char* fault_spec = std::getenv("REDCANE_FAULTS");
-  std::unique_ptr<redcane::serve::fault::ScopedFaultPlan> faults;
+  std::unique_ptr<redcane::fault::ScopedFaultPlan> faults;
   if (fault_spec != nullptr && fault_spec[0] != '\0') {
-    redcane::serve::fault::FaultConfig fc;
-    if (!redcane::serve::fault::parse_spec(fault_spec, fc)) {
+    redcane::fault::FaultConfig fc;
+    if (!redcane::fault::parse_spec(fault_spec, fc)) {
       std::fprintf(stderr, "bad REDCANE_FAULTS spec '%s'\n", fault_spec);
       return 2;
     }
-    faults = std::make_unique<redcane::serve::fault::ScopedFaultPlan>(fc);
+    faults = std::make_unique<redcane::fault::ScopedFaultPlan>(fc);
   }
 
   // Observability sinks (flags; REDCANE_TRACE / REDCANE_METRICS work too

@@ -45,8 +45,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/attack_eval.hpp"
-#include "serve/fault.hpp"
 #include "serve/server.hpp"
+#include "util/fault.hpp"
 
 using namespace redcane;
 using examples::Args;
@@ -134,12 +134,12 @@ int run(const Args& args) {
   if (fault_spec.empty()) {
     if (const char* env = std::getenv("REDCANE_FAULTS")) fault_spec = env;
   }
-  serve::fault::FaultConfig fault_cfg;
-  if (!fault_spec.empty() && !serve::fault::parse_spec(fault_spec, fault_cfg)) {
+  fault::FaultConfig fault_cfg;
+  if (!fault_spec.empty() && !fault::parse_spec(fault_spec, fault_cfg)) {
     std::fprintf(stderr, "bad --faults spec '%s'\n", fault_spec.c_str());
     return 2;
   }
-  std::optional<serve::fault::ScopedFaultPlan> fault_plan;
+  std::optional<fault::ScopedFaultPlan> fault_plan;
   if (fault_cfg.any()) {
     fault_plan.emplace(fault_cfg);
     std::printf("fault injection armed: %s\n", fault_spec.c_str());
@@ -375,7 +375,7 @@ void usage() {
       "                     [--data-dir DIR] [--faults SPEC] [--attack SPEC]\n"
       "                     [--trace-out PATH] [--metrics-out PATH]\n"
       "  --faults (or env REDCANE_FAULTS) arms deterministic fault injection;\n"
-      "  SPEC is e.g. \"seed=7,stall=0.1,backend=0.05\" (see serve/fault.hpp)\n"
+      "  SPEC is e.g. \"seed=7,stall=0.1,backend=0.05\" (see util/fault.hpp)\n"
       "  --attack runs an attacked evaluation wave per variant; SPEC is e.g.\n"
       "  \"fgsm:eps=0.1\", \"pgd:eps=0.1,steps=5\", \"rotate:deg=15\" (attack/attack.hpp)");
 }

@@ -59,8 +59,12 @@ Tensor affine_warp(const Tensor& x, const AffineParams& p) {
         const double sx = (ca * ux + sa * uy) * inv_s + cx;
         const double sy = (-sa * ux + ca * uy) * inv_s + cy;
 
-        const double fx = std::floor(sx);
-        const double fy = std::floor(sy);
+        // Clamped to [-2, w] and [-2, h] before the integer cast. A sample
+        // outside that range reads no pixel either way, and the clamp keeps
+        // the cast defined for any finite spec: a huge translation, or a
+        // zoom whose inverse overflows to inf (fmax also maps NaN to -2).
+        const double fx = std::fmin(std::fmax(std::floor(sx), -2.0), static_cast<double>(w));
+        const double fy = std::fmin(std::fmax(std::floor(sy), -2.0), static_cast<double>(h));
         const std::int64_t x0 = static_cast<std::int64_t>(fx);
         const std::int64_t y0 = static_cast<std::int64_t>(fy);
         const double wx = sx - fx;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "capsnet/trainer.hpp"
 
@@ -236,8 +237,9 @@ bool parse_attack_spec(const std::string& text, AttackSpec* out, std::string* er
         spec.epsilon = value;
         have_required = true;
       } else if (kkey == "steps" && spec.kind == AttackKind::kPgd) {
-        if (value < 1.0 || value != std::floor(value)) {
-          return fail(error, "steps must be a positive integer");
+        if (value < 1.0 || value != std::floor(value) ||
+            value > std::numeric_limits<int>::max()) {
+          return fail(error, "steps must be a positive integer that fits an int");
         }
         spec.steps = static_cast<int>(value);
       } else if (kkey == "step" && spec.kind == AttackKind::kPgd) {

@@ -58,16 +58,14 @@ CrossValidationResult cross_validate_design(capsnet::CapsModel& model, const Ten
                                             const std::vector<std::int64_t>& test_y,
                                             const MethodologyResult& design,
                                             const CrossValidateConfig& cfg) {
-  SweepEngineConfig ec;
-  ec.seed = cfg.seed;
-  ec.eval_batch = cfg.eval_batch;
-  ec.threads = cfg.threads;
-  SweepEngine engine(model, test_x, test_y, ec);
+  SweepEngine engine(model, test_x, test_y,
+                     {.seed = cfg.seed, .eval_batch = cfg.eval_batch, .threads = cfg.threads});
+  const attack::AttackSpec clean = attack::AttackSpec::none();
 
   const approx::Adder* adder = resolve_adder(cfg.adder);
 
   CrossValidationResult r;
-  r.baseline_accuracy = engine.clean_accuracy();
+  r.baseline_accuracy = engine.accuracy(clean);
 
   std::vector<noise::InjectionRule> joint_rules;
   backend::EmulationPlan joint_plan;
@@ -91,7 +89,7 @@ CrossValidationResult cross_validate_design(capsnet::CapsModel& model, const Ten
       rules.push_back(noise::layer_rule(sel.site.kind, sel.site.layer, spec));
       joint_rules.push_back(rules.back());
     }
-    e.predicted_accuracy = engine.point_accuracy(rules, salt);
+    e.predicted_accuracy = engine.evaluate(clean, backend::NoiseBackend(rules, cfg.seed), salt);
 
     // Emulated: this site's MAC datapath behavioral, everything else
     // float-exact.
@@ -101,7 +99,7 @@ CrossValidationResult cross_validate_design(capsnet::CapsModel& model, const Ten
     joint_plan.set(sel.site.layer,
                    backend::SiteUnit{quant::MacUnit{sel.component, adder}, cfg.bits});
     const backend::EmulatedBackend emulated(std::move(plan));
-    e.emulated_accuracy = engine.backend_accuracy(emulated, salt);
+    e.emulated_accuracy = engine.evaluate(clean, emulated, salt);
 
     r.entries.push_back(std::move(e));
     ++salt;
@@ -109,9 +107,9 @@ CrossValidationResult cross_validate_design(capsnet::CapsModel& model, const Ten
 
   // The joint deployment, both ways: the designed variant as served
   // (every selection's noise together) vs the fully emulated network.
-  r.predicted_joint = engine.point_accuracy(joint_rules, salt);
+  r.predicted_joint = engine.evaluate(clean, backend::NoiseBackend(joint_rules, cfg.seed), salt);
   const backend::EmulatedBackend joint(std::move(joint_plan));
-  r.emulated_joint = engine.backend_accuracy(joint, salt);
+  r.emulated_joint = engine.evaluate(clean, joint, salt);
   return r;
 }
 

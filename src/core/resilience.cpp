@@ -1,14 +1,22 @@
 #include "core/resilience.hpp"
 
 #include <cmath>
-#include <cstdio>
 
-#include "backend/emulation.hpp"
-#include "capsnet/trainer.hpp"
 #include "core/sweep_plan.hpp"
 
 namespace redcane::core {
 namespace {
+
+/// Plan -> run_shard per shard -> assemble, on the analyzer's engine: the
+/// same path the distributed coordinator runs, so in-process and sharded
+/// sweeps are bit-identical by construction.
+SweepGrids run(SweepEngine& engine, const GridPlan& plan) {
+  SweepGrids out;
+  run_plan(engine, plan, &out);
+  return out;
+}
+
+}  // namespace
 
 SweepEngineConfig engine_config(const ResilienceConfig& cfg) {
   SweepEngineConfig ec;
@@ -18,8 +26,6 @@ SweepEngineConfig engine_config(const ResilienceConfig& cfg) {
   ec.prefix_cache = cfg.prefix_cache;
   return ec;
 }
-
-}  // namespace
 
 double ResilienceCurve::tolerable_nm(double tolerance_pct) const {
   double best = 0.0;
@@ -35,93 +41,35 @@ ResilienceAnalyzer::ResilienceAnalyzer(capsnet::CapsModel& model, const Tensor& 
                                        ResilienceConfig cfg)
     : cfg_(cfg), engine_(model, test_x, test_y, engine_config(cfg)) {}
 
-double ResilienceAnalyzer::baseline() { return engine_.clean_accuracy(); }
+double ResilienceAnalyzer::baseline() { return engine_.accuracy(attack::AttackSpec::none()); }
 
 double ResilienceAnalyzer::accuracy_with_rules(const std::vector<noise::InjectionRule>& rules,
                                                std::uint64_t salt) {
-  return engine_.point_accuracy(rules, salt);
+  return engine_.evaluate(attack::AttackSpec::none(), {SweepPointSpec{rules, salt}}).front();
 }
 
-ResilienceCurve ResilienceAnalyzer::sweep(capsnet::OpKind kind,
-                                          const std::optional<std::string>& layer) {
-  // Plan (grid geometry + grid-order salting), execute on the engine,
-  // assemble — the same three phases the distributed coordinator runs,
-  // so in-process and sharded sweeps are bit-identical by construction.
-  const CurvePlan plan = plan_curve(cfg_.sweep, kind, layer);
-  const double base = baseline();
-  const std::vector<double> acc = engine_.run_points(plan.points);
-  return assemble_curve(plan, base, acc);
+ResilienceCurve ResilienceAnalyzer::sweep_group(capsnet::OpKind kind) {
+  return run(engine_, plan_curve(cfg_.sweep, kind, std::nullopt)).curves.front();
+}
+
+ResilienceCurve ResilienceAnalyzer::sweep_layer(capsnet::OpKind kind,
+                                                const std::string& layer) {
+  return run(engine_, plan_curve(cfg_.sweep, kind, layer)).curves.front();
 }
 
 RobustnessGrid ResilienceAnalyzer::sweep_attack_exact(const attack::Scenario& scenario) {
-  RobustnessGrid grid;
-  grid.scenario = scenario.name();
-  grid.backend = "exact";
-  for (double severity : scenario.severities) {
-    grid.severities.push_back(severity);
-    grid.accuracy.push_back(engine_.attacked_accuracy(scenario.at(severity)));
-  }
-  return grid;
+  return run(engine_, plan_attack_exact(scenario)).grids.front();
 }
 
 RobustnessGrid ResilienceAnalyzer::sweep_attack_noise(const attack::Scenario& scenario,
                                                       capsnet::OpKind group) {
-  // Salts restart at 1 per severity row (see plan_attack_noise): a row's
-  // noise streams do not depend on which rows ran before it, so single-row
-  // shards and full-grid runs agree bitwise.
-  const NoiseGridPlan plan = plan_attack_noise(cfg_.sweep, scenario, group);
-  std::vector<RowResult> rows;
-  for (const NoiseGridRowPlan& row : plan.rows) {
-    RowResult r;
-    r.base = engine_.attacked_accuracy(row.spec);
-    r.acc = engine_.run_attacked_points(row.spec, row.points);
-    rows.push_back(std::move(r));
-  }
-  return assemble_attack_noise(plan, rows);
+  return run(engine_, plan_attack_noise(cfg_.sweep, scenario, group)).grids.front();
 }
 
 RobustnessGrid ResilienceAnalyzer::sweep_attack_emulated(
     const attack::Scenario& scenario, const std::vector<std::string>& components,
     int bits) {
-  RobustnessGrid grid;
-  grid.scenario = scenario.name();
-  grid.backend = "emulated";
-
-  // All MAC-output layers of this model, discovered by probing — the same
-  // site set a deployment manifest plans (make_component_plan).
-  const Tensor probe = capsnet::slice_rows(engine_.test_x(), 0, 1);
-  std::vector<backend::EmulationPlan> plans;
-  for (const std::string& component : components) {
-    backend::EmulationPlan plan;
-    if (!make_component_plan(engine_.model(), probe, component, bits, &plan)) {
-      std::fprintf(stderr,
-                   "redcane::core: skipping unknown emulated component '%s' in "
-                   "Step-8 grid\n",
-                   component.c_str());
-      continue;
-    }
-    grid.components.push_back(component);
-    plans.push_back(std::move(plan));
-  }
-
-  for (double severity : scenario.severities) {
-    const attack::AttackSpec spec = scenario.at(severity);
-    grid.severities.push_back(severity);
-    for (const backend::EmulationPlan& plan : plans) {
-      grid.accuracy.push_back(engine_.attacked_backend_accuracy(
-          spec, backend::EmulatedBackend(plan), /*salt=*/0));
-    }
-  }
-  return grid;
-}
-
-ResilienceCurve ResilienceAnalyzer::sweep_group(capsnet::OpKind kind) {
-  return sweep(kind, std::nullopt);
-}
-
-ResilienceCurve ResilienceAnalyzer::sweep_layer(capsnet::OpKind kind,
-                                                const std::string& layer) {
-  return sweep(kind, layer);
+  return run(engine_, plan_attack_emulated(scenario, components, bits)).grids.front();
 }
 
 }  // namespace redcane::core

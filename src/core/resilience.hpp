@@ -77,13 +77,18 @@ struct ResilienceConfig {
   bool prefix_cache = true;
 };
 
-/// Drives noisy evaluations of one trained model on one test set. All
-/// evaluations route through the SweepEngine: sweeps run their grid points
-/// concurrently, and every noisy point replays only the network suffix
-/// after its first injectable site. The model's weights must not change
-/// over the analyzer's lifetime (the engine replays cached clean
-/// prefixes); construct a fresh analyzer after retraining or approximating
-/// the model.
+/// The engine configuration `cfg` implies — the one conversion the
+/// analyzer and every dist job engine (dist::job_engine_config) share.
+[[nodiscard]] SweepEngineConfig engine_config(const ResilienceConfig& cfg);
+
+/// Drives noisy evaluations of one trained model on one test set. Every
+/// sweep is a core/sweep_plan GridPlan run shard by shard through
+/// run_shard on the analyzer's SweepEngine, then assembled — the path the
+/// distributed coordinator runs too. Grid points run concurrently, and
+/// every noisy point replays only the network suffix after its first
+/// injectable site. The model's weights must not change over the
+/// analyzer's lifetime (the engine replays cached clean prefixes);
+/// construct a fresh analyzer after retraining or approximating the model.
 class ResilienceAnalyzer {
  public:
   ResilienceAnalyzer(capsnet::CapsModel& model, const Tensor& test_x,
@@ -132,9 +137,6 @@ class ResilienceAnalyzer {
   [[nodiscard]] const ResilienceConfig& config() const { return cfg_; }
 
  private:
-  [[nodiscard]] ResilienceCurve sweep(capsnet::OpKind kind,
-                                      const std::optional<std::string>& layer);
-
   ResilienceConfig cfg_;
   SweepEngine engine_;
 };

@@ -189,12 +189,7 @@ const SweepEngine::EvalSet& SweepEngine::ensure_attacked(const attack::AttackSpe
   return *attacked_.back().second;
 }
 
-double SweepEngine::clean_accuracy() {
-  ensure_prepared();
-  return base_.accuracy;
-}
-
-double SweepEngine::attacked_accuracy(const attack::AttackSpec& spec) {
+double SweepEngine::accuracy(const attack::AttackSpec& spec) {
   return ensure_attacked(spec).accuracy;
 }
 
@@ -249,28 +244,8 @@ double SweepEngine::eval_point(const backend::ExecBackend& b, std::uint64_t salt
   return static_cast<double>(hits) / static_cast<double>(test_x_.shape().dim(0));
 }
 
-double SweepEngine::point_accuracy(const std::vector<noise::InjectionRule>& rules,
-                                   std::uint64_t salt) {
-  ensure_prepared();
-  ++stats_.evaluations;
-  return eval_point(backend::NoiseBackend(rules, cfg_.seed), salt, base_, stats_);
-}
-
-double SweepEngine::attacked_point_accuracy(const attack::AttackSpec& spec,
-                                            const std::vector<noise::InjectionRule>& rules,
-                                            std::uint64_t salt) {
-  const EvalSet& set = ensure_attacked(spec);
-  ++stats_.evaluations;
-  return eval_point(backend::NoiseBackend(rules, cfg_.seed), salt, set, stats_);
-}
-
-double SweepEngine::backend_accuracy(const backend::ExecBackend& b, std::uint64_t salt) {
-  return attacked_backend_accuracy(attack::AttackSpec::none(), b, salt);
-}
-
-double SweepEngine::attacked_backend_accuracy(const attack::AttackSpec& spec,
-                                              const backend::ExecBackend& b,
-                                              std::uint64_t salt) {
+double SweepEngine::evaluate(const attack::AttackSpec& spec, const backend::ExecBackend& b,
+                             std::uint64_t salt) {
   const EvalSet& set = ensure_attacked(spec);
   ++stats_.evaluations;
   if (b.rules() != nullptr) return eval_point(b, salt, set, stats_);
@@ -287,57 +262,50 @@ double SweepEngine::attacked_backend_accuracy(const attack::AttackSpec& spec,
   return static_cast<double>(hits) / static_cast<double>(test_x_.shape().dim(0));
 }
 
-std::vector<double> SweepEngine::run_points(const std::vector<SweepPointSpec>& points) {
-  return run_attacked_points(attack::AttackSpec::none(), points);
-}
-
-std::vector<double> SweepEngine::run_attacked_points(
-    const attack::AttackSpec& spec, const std::vector<SweepPointSpec>& points) {
+std::vector<double> SweepEngine::evaluate(const attack::AttackSpec& spec,
+                                          const std::vector<SweepPointSpec>& points) {
   // Attack generation (or input-cache lookup) happens here, before any
   // worker exists: workers only ever replay const checkpoints.
   const EvalSet& set = ensure_attacked(spec);
-  OBS_SPAN("sweep/run_points");
-  std::vector<double> acc(points.size(), 0.0);
-  const int workers = std::max(
-      1, std::min(resolve_threads(cfg_.threads), static_cast<int>(points.size())));
+  OBS_SPAN("sweep/evaluate");
   stats_.threads = resolve_threads(cfg_.threads);
   stats_.evaluations += static_cast<std::int64_t>(points.size());
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      acc[i] = eval_point(backend::NoiseBackend(points[i].rules, cfg_.seed),
-                          points[i].salt, set, stats_);
-    }
-    return acc;
-  }
+  const int workers = std::max(1, std::min(stats_.threads, static_cast<int>(points.size())));
 
   // Each point owns its slot and its injector; per-worker stats merge after
   // the join. Result assembly is by index, so curves are independent of
   // scheduling order.
+  std::vector<double> acc(points.size(), 0.0);
   std::atomic<std::size_t> next{0};
   std::vector<SweepEngineStats> worker_stats(static_cast<std::size_t>(workers));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
+  const auto drain = [&](SweepEngineStats& mine) {
+    for (std::size_t i = next.fetch_add(1); i < points.size(); i = next.fetch_add(1)) {
+      acc[i] = eval_point(backend::NoiseBackend(points[i].rules, cfg_.seed), points[i].salt,
+                          set, mine);
+    }
+  };
+  if (workers == 1) {
+    drain(worker_stats[0]);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (SweepEngineStats& mine : worker_stats) {
+      pool.emplace_back([&drain, stats = &mine] {
 #ifdef _OPENMP
-      // Each std::thread is an OpenMP initial thread: without a cap, every
-      // omp-parallel kernel inside a worker would spin up a full-size team
-      // (workers x cores threads total). Point-level parallelism already
-      // covers the machine, so keep per-worker kernels serial.
-      omp_set_num_threads(1);
+        // Each std::thread is an OpenMP initial thread: without a cap, every
+        // omp-parallel kernel inside a worker would spin up a full-size team
+        // (workers x cores threads total). Point-level parallelism already
+        // covers the machine, so keep per-worker kernels serial.
+        omp_set_num_threads(1);
 #endif
-      // Warm this worker's thread-keyed scratch arena once; every forward
-      // of every grid point then runs on recycled buffers.
-      ws::Workspace::tls().reserve(std::size_t{1} << 20);
-      for (std::size_t i = next.fetch_add(1); i < points.size(); i = next.fetch_add(1)) {
-        acc[i] = eval_point(backend::NoiseBackend(points[i].rules, cfg_.seed),
-                            points[i].salt, set,
-                            worker_stats[static_cast<std::size_t>(w)]);
-      }
-    });
+        // Warm this worker's thread-keyed scratch arena once; every forward
+        // of every grid point then runs on recycled buffers.
+        ws::Workspace::tls().reserve(std::size_t{1} << 20);
+        drain(*stats);
+      });
+    }
+    for (std::thread& t : pool) t.join();
   }
-  for (std::thread& t : pool) t.join();
   for (const SweepEngineStats& ws : worker_stats) {
     stats_.cache_hits += ws.cache_hits;
     stats_.stages_skipped += ws.stages_skipped;

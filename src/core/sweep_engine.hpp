@@ -135,48 +135,31 @@ class SweepEngine {
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
 
-  /// Clean test accuracy in [0, 1]. The first call runs the recording
-  /// forward that seeds the prefix cache; later calls are free.
-  [[nodiscard]] double clean_accuracy();
+  // The three evaluators. Each reads the eval set of `spec`: the clean test
+  // set for the identity spec (AttackSpec::none()), otherwise the inputs
+  // perturbed by `spec` — the severity axis of a Step-8 grid. The first use
+  // of a spec builds its set on the calling thread (for the identity spec,
+  // the recording forward that seeds the prefix cache); later uses are
+  // cache hits.
 
-  /// Accuracy of one noisy point (prefix-cached replay when possible).
-  [[nodiscard]] double point_accuracy(const std::vector<noise::InjectionRule>& rules,
-                                      std::uint64_t salt);
+  /// Noise-free accuracy in [0, 1] of the eval set of `spec`.
+  [[nodiscard]] double accuracy(const attack::AttackSpec& spec);
 
-  /// Runs all points, concurrently when threads > 1, and returns their
-  /// accuracies in point order — bit-identical to calling point_accuracy
-  /// on each point serially.
-  [[nodiscard]] std::vector<double> run_points(const std::vector<SweepPointSpec>& points);
+  /// Accuracies of noisy `points` on the eval set of `spec`, in point
+  /// order. Points replay prefix-cached suffixes on up to `threads`
+  /// workers; a single worker runs on the calling thread. Bit-identical
+  /// across thread counts and to evaluating each point on its own.
+  [[nodiscard]] std::vector<double> evaluate(const attack::AttackSpec& spec,
+                                             const std::vector<SweepPointSpec>& points);
 
-  /// Accuracy of one execution backend over the engine's test batches.
+  /// Accuracy of one execution backend on the eval set of `spec`.
   /// Hook-expressible backends (ExecBackend::rules() non-null) replay from
-  /// the clean prefix cache exactly like point_accuracy; opaque backends
-  /// (e.g. EmulatedBackend, whose planned layers re-execute from the input
-  /// on) run full batched forwards through ExecBackend::run. This is the
-  /// evaluation entry Step 7's noise-model cross-validation drives.
-  [[nodiscard]] double backend_accuracy(const backend::ExecBackend& b, std::uint64_t salt);
-
-  /// Noise-free accuracy on inputs perturbed by `spec` — the severity axis
-  /// of a Step-8 robustness grid. The first call per distinct spec builds
-  /// and caches the perturbed eval set; identity specs alias the clean set.
-  [[nodiscard]] double attacked_accuracy(const attack::AttackSpec& spec);
-
-  /// point_accuracy on the perturbed eval set of `spec`.
-  [[nodiscard]] double attacked_point_accuracy(const attack::AttackSpec& spec,
-                                               const std::vector<noise::InjectionRule>& rules,
-                                               std::uint64_t salt);
-
-  /// run_points on the perturbed eval set of `spec`: the attack is
-  /// generated (or input-cache-hit) once on the calling thread, then all
-  /// points replay suffixes concurrently. Bit-identical serial vs parallel
-  /// and across thread counts, like run_points.
-  [[nodiscard]] std::vector<double> run_attacked_points(
-      const attack::AttackSpec& spec, const std::vector<SweepPointSpec>& points);
-
-  /// backend_accuracy on the perturbed eval set of `spec`.
-  [[nodiscard]] double attacked_backend_accuracy(const attack::AttackSpec& spec,
-                                                 const backend::ExecBackend& b,
-                                                 std::uint64_t salt);
+  /// the prefix cache exactly like points; opaque backends (e.g.
+  /// EmulatedBackend, whose planned layers re-execute from the input on)
+  /// run full batched forwards through ExecBackend::run. Step 7's
+  /// noise-model cross-validation and Step 8's emulated grids drive this.
+  [[nodiscard]] double evaluate(const attack::AttackSpec& spec, const backend::ExecBackend& b,
+                                std::uint64_t salt);
 
   [[nodiscard]] const SweepEngineStats& stats() const { return stats_; }
   [[nodiscard]] const SweepEngineConfig& config() const { return cfg_; }

@@ -11,8 +11,8 @@
 #include "dist/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/fault.hpp"
 #include "util/crc32.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::dist {
 namespace {
@@ -212,8 +212,8 @@ struct Coordinator::Impl {
                    "dist: journal append failed; continuing without crash "
                    "resume\n");
     }
-    if (serve::fault::armed() &&
-        serve::fault::plan()->coord_crash(journal.stats().records_appended)) {
+    if (fault::armed() &&
+        fault::plan()->coord_crash(journal.stats().records_appended)) {
       crashed = true;
       error = "fault: simulated coordinator crash after journal append";
       stop.store(true, std::memory_order_release);

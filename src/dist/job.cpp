@@ -113,11 +113,8 @@ std::uint64_t hash_recipe(const Profile& p, const std::string& profile,
 }  // namespace
 
 core::SweepEngineConfig job_engine_config(const StandardJob& job, int threads) {
-  core::SweepEngineConfig ec;
-  ec.seed = job.rc.seed;
-  ec.eval_batch = job.rc.eval_batch;
+  core::SweepEngineConfig ec = core::engine_config(job.rc);
   ec.threads = threads;
-  ec.prefix_cache = job.rc.prefix_cache;
   return ec;
 }
 
@@ -143,12 +140,6 @@ StandardJob make_standard_job(const std::string& profile) {
   job.model = std::make_unique<capsnet::CapsNetModel>(p.model_cfg, rng);
   job.dataset = data::make_synthetic(p.data_spec);
 
-  job.scenario.kind = attack::AttackKind::kFgsm;
-  job.scenario.severities = p.severities;
-  job.components = p.components;
-  job.bits = 8;
-  job.noise_group = capsnet::OpKind::kMacOutput;
-
   // Step-4 layers, discovered the same way the analyzer discovers them.
   const Tensor probe = capsnet::slice_rows(job.dataset.test_x, 0, 1);
   std::vector<std::string> mac_layers;
@@ -160,161 +151,44 @@ StandardJob make_standard_job(const std::string& profile) {
 
   job.job_hash = hash_recipe(p, profile, mac_layers);
 
-  std::uint64_t next_id = 0;
-  const auto add_chunks = [&](const attack::AttackSpec& spec,
-                              const std::vector<core::SweepPointSpec>& points)
-      -> std::vector<std::uint64_t> {
-    std::vector<core::SweepShard> chunks =
-        core::chunk_shards(next_id, spec, points, p.chunk);
-    std::vector<std::uint64_t> ids;
-    for (core::SweepShard& s : chunks) {
-      ids.push_back(s.id);
-      job.shards.push_back(std::move(s));
-    }
-    next_id += ids.size();
-    return ids;
+  attack::Scenario scenario;
+  scenario.kind = attack::AttackKind::kFgsm;
+  scenario.severities = p.severities;
+  const auto add = [&](core::GridPlan plan) {
+    core::chunk_plan(plan, p.chunk, &job.shards);
+    job.plans.push_back(std::move(plan));
   };
-
-  // Steps 2/4: group curves, then layer curves.
-  const auto add_curve = [&](capsnet::OpKind kind,
-                             const std::optional<std::string>& layer) {
-    CurveRoute route;
-    route.plan = core::plan_curve(job.rc.sweep, kind, layer);
-    route.shard_ids = add_chunks(attack::AttackSpec::none(), route.plan.points);
-    job.curves.push_back(std::move(route));
-  };
-  for (capsnet::OpKind kind : p.group_kinds) add_curve(kind, std::nullopt);
+  for (capsnet::OpKind kind : p.group_kinds)
+    add(core::plan_curve(job.rc.sweep, kind, std::nullopt));
   for (const std::string& layer : mac_layers)
-    add_curve(capsnet::OpKind::kMacOutput, layer);
-
-  // Step 8, exact backend: one point-less shard per severity.
-  {
-    ExactGridRoute route;
-    route.scenario = job.scenario.name();
-    for (double sev : p.severities) {
-      route.severities.push_back(sev);
-      const std::vector<std::uint64_t> ids =
-          add_chunks(job.scenario.at(sev), {});
-      route.shard_ids.push_back(ids.front());
-    }
-    job.exact_grids.push_back(std::move(route));
-  }
-
-  // Step 8, noise backend: per-row chunks (salts restart per row, so rows
-  // shard independently).
-  {
-    NoiseGridRoute route;
-    route.plan = core::plan_attack_noise(job.rc.sweep, job.scenario, job.noise_group);
-    for (const core::NoiseGridRowPlan& row : route.plan.rows)
-      route.row_shard_ids.push_back(add_chunks(row.spec, row.points));
-    job.noise_grids.push_back(std::move(route));
-  }
-
-  // Step 8, emulated backend: one single-value shard per (severity,
-  // component) cell, row-major.
-  {
-    EmulatedGridRoute route;
-    route.scenario = job.scenario.name();
-    route.components = p.components;
-    for (double sev : p.severities) {
-      route.severities.push_back(sev);
-      for (const std::string& component : p.components) {
-        core::SweepShard shard;
-        shard.id = next_id++;
-        shard.spec = job.scenario.at(sev);
-        shard.backend = core::ShardBackend::kEmulated;
-        shard.component = component;
-        shard.bits = job.bits;
-        route.shard_ids.push_back(shard.id);
-        job.shards.push_back(std::move(shard));
-      }
-    }
-    job.emulated_grids.push_back(std::move(route));
-  }
-
+    add(core::plan_curve(job.rc.sweep, capsnet::OpKind::kMacOutput, layer));
+  add(core::plan_attack_exact(scenario));
+  add(core::plan_attack_noise(job.rc.sweep, scenario, capsnet::OpKind::kMacOutput));
+  add(core::plan_attack_emulated(scenario, p.components, /*bits=*/8));
   return job;
 }
 
 JobGrids assemble_job(const StandardJob& job,
                       const std::vector<core::ShardOutcome>& outcomes) {
-  // Outcomes are parallel to job.shards; shard ids are consecutive from 0,
-  // but index defensively through a map anyway.
-  std::vector<const core::ShardOutcome*> by_id(job.shards.size(), nullptr);
-  for (std::size_t i = 0; i < job.shards.size() && i < outcomes.size(); ++i) {
-    const std::uint64_t id = outcomes[i].id;
-    if (id < by_id.size()) by_id[id] = &outcomes[i];
+  // Outcomes arrive parallel to job.shards, whose ids are their indices;
+  // order them by id anyway so any completion order assembles the same.
+  std::vector<core::ShardOutcome> by_id(job.shards.size());
+  for (const core::ShardOutcome& o : outcomes) {
+    if (o.id < by_id.size()) by_id[o.id] = o;
   }
-  const auto outcome_of = [&](std::uint64_t id) -> const core::ShardOutcome& {
-    return *by_id[id];
-  };
-
   JobGrids out;
-  for (const CurveRoute& route : job.curves) {
-    std::vector<double> acc;
-    for (std::uint64_t id : route.shard_ids) {
-      const core::ShardOutcome& o = outcome_of(id);
-      acc.insert(acc.end(), o.acc.begin(), o.acc.end());
-    }
-    const double base = outcome_of(route.shard_ids.front()).base;
-    out.curves.push_back(core::assemble_curve(route.plan, base, acc));
-  }
-
-  for (const ExactGridRoute& route : job.exact_grids) {
-    core::RobustnessGrid grid;
-    grid.scenario = route.scenario;
-    grid.backend = "exact";
-    for (std::size_t i = 0; i < route.severities.size(); ++i) {
-      grid.severities.push_back(route.severities[i]);
-      grid.accuracy.push_back(outcome_of(route.shard_ids[i]).base);
-    }
-    out.grids.push_back(std::move(grid));
-  }
-
-  for (const NoiseGridRoute& route : job.noise_grids) {
-    std::vector<core::RowResult> rows;
-    for (const std::vector<std::uint64_t>& ids : route.row_shard_ids) {
-      core::RowResult r;
-      r.base = outcome_of(ids.front()).base;
-      for (std::uint64_t id : ids) {
-        const core::ShardOutcome& o = outcome_of(id);
-        r.acc.insert(r.acc.end(), o.acc.begin(), o.acc.end());
-      }
-      rows.push_back(std::move(r));
-    }
-    out.grids.push_back(core::assemble_attack_noise(route.plan, rows));
-  }
-
-  for (const EmulatedGridRoute& route : job.emulated_grids) {
-    core::RobustnessGrid grid;
-    grid.scenario = route.scenario;
-    grid.backend = "emulated";
-    grid.components = route.components;
-    grid.severities = route.severities;
-    for (std::uint64_t id : route.shard_ids)
-      grid.accuracy.push_back(outcome_of(id).acc.front());
-    out.grids.push_back(std::move(grid));
+  std::span<const core::ShardOutcome> rest(by_id);
+  for (const core::GridPlan& plan : job.plans) {
+    rest = rest.subspan(core::assemble(plan, rest, &out));
   }
   return out;
 }
 
 JobGrids run_job_in_process(StandardJob& job) {
-  core::ResilienceAnalyzer analyzer(*job.model, job.dataset.test_x,
-                                    job.dataset.test_y, job.rc);
+  core::SweepEngine engine(*job.model, job.dataset.test_x, job.dataset.test_y,
+                           core::engine_config(job.rc));
   JobGrids out;
-  for (const CurveRoute& route : job.curves) {
-    if (route.plan.layer.has_value()) {
-      out.curves.push_back(analyzer.sweep_layer(route.plan.kind, *route.plan.layer));
-    } else {
-      out.curves.push_back(analyzer.sweep_group(route.plan.kind));
-    }
-  }
-  for (std::size_t i = 0; i < job.exact_grids.size(); ++i)
-    out.grids.push_back(analyzer.sweep_attack_exact(job.scenario));
-  for (std::size_t i = 0; i < job.noise_grids.size(); ++i)
-    out.grids.push_back(analyzer.sweep_attack_noise(job.scenario, job.noise_group));
-  for (std::size_t i = 0; i < job.emulated_grids.size(); ++i)
-    out.grids.push_back(
-        analyzer.sweep_attack_emulated(job.scenario, job.components, job.bits));
+  for (const core::GridPlan& plan : job.plans) core::run_plan(engine, plan, &out);
   return out;
 }
 

@@ -16,8 +16,10 @@
 //   Step 4  layer curves over discovered MAC layers
 //   Step 8  exact rows, (severity x NM) noise grids, and
 //           (severity x component) emulated grids for an FGSM scenario
-// Shard ids are consecutive across the whole job; assembly routes each
-// outcome back into its curve/grid by id.
+// The job is a list of core::GridPlans. Their shards, chunked, form one
+// flat shard list with consecutive ids in plan order, so the outcomes of
+// any run assemble plan after plan through core::assemble — the same
+// assembler the in-process analyzer uses.
 #pragma once
 
 #include <cstdint>
@@ -32,37 +34,9 @@
 
 namespace redcane::dist {
 
-/// Assembly routing: which shard ids feed which curve/grid, in order.
-struct CurveRoute {
-  core::CurvePlan plan;
-  std::vector<std::uint64_t> shard_ids;  ///< Concatenated accs = plan.points accs.
-};
-
-struct NoiseGridRoute {
-  core::NoiseGridPlan plan;
-  /// Per severity row, the ordered shard ids of that row's point chunks.
-  std::vector<std::vector<std::uint64_t>> row_shard_ids;
-};
-
-struct ExactGridRoute {
-  std::string scenario;
-  std::vector<double> severities;
-  std::vector<std::uint64_t> shard_ids;  ///< One point-less shard per severity.
-};
-
-struct EmulatedGridRoute {
-  std::string scenario;
-  std::vector<double> severities;
-  std::vector<std::string> components;
-  std::vector<std::uint64_t> shard_ids;  ///< Row-major [severity][component].
-};
-
 /// Everything the distributed curves assemble into — the unit of the
-/// bitwise-identity acceptance check against the in-process analyzer.
-struct JobGrids {
-  std::vector<core::ResilienceCurve> curves;
-  std::vector<core::RobustnessGrid> grids;
-};
+/// bitwise-identity acceptance check against the in-process run.
+using JobGrids = core::SweepGrids;
 
 /// True when every value of both results is bitwise equal (exact double
 /// comparison — the determinism contract, not a tolerance check).
@@ -74,19 +48,11 @@ struct StandardJob {
   data::Dataset dataset;
   core::ResilienceConfig rc;
   std::uint64_t job_hash = 0;
+  /// The job's grids in assembly order: curves, then the Step-8 exact,
+  /// noise and emulated grids.
+  std::vector<core::GridPlan> plans;
+  /// Every plan's shards, chunked, ids consecutive from 0 in plan order.
   std::vector<core::SweepShard> shards;
-
-  std::vector<CurveRoute> curves;
-  std::vector<NoiseGridRoute> noise_grids;
-  std::vector<ExactGridRoute> exact_grids;
-  std::vector<EmulatedGridRoute> emulated_grids;
-
-  // Step-8 scenario shared by all three grid backends (the in-process
-  // reference re-runs it through ResilienceAnalyzer).
-  attack::Scenario scenario;
-  capsnet::OpKind noise_group = capsnet::OpKind::kMacOutput;
-  std::vector<std::string> components;
-  int bits = 8;
 };
 
 /// Engine configuration matching the job's grid values. `threads` is the
@@ -99,13 +65,13 @@ struct StandardJob {
 /// "full" (the bench_dist workload). Aborts on an unknown profile name.
 [[nodiscard]] StandardJob make_standard_job(const std::string& profile);
 
-/// Routes completed shard outcomes (parallel to job.shards) back into
-/// curves and grids.
+/// Assembles completed shard outcomes (one per job shard, any order) into
+/// the job's curves and grids.
 [[nodiscard]] JobGrids assemble_job(const StandardJob& job,
                                     const std::vector<core::ShardOutcome>& outcomes);
 
-/// The bitwise reference: runs the same grids through ResilienceAnalyzer
-/// in this process (no sharding, no sockets).
+/// The in-process run: every plan through core::run_plan on one local
+/// engine (no chunking, no sockets).
 [[nodiscard]] JobGrids run_job_in_process(StandardJob& job);
 
 }  // namespace redcane::dist

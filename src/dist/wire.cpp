@@ -118,6 +118,16 @@ bool decode_attack_spec(WireReader& r, attack::AttackSpec* s) {
 
 namespace {
 
+// Smallest encodings of the counted entries: a count n is rejected unless
+// n entries of this size fit in the bytes left.
+constexpr std::size_t kMinRuleBytes = 3 + 4 + 8 + 8;  ///< Flags, empty layer, nm, na.
+constexpr std::size_t kMinPointBytes = 4 + 8;         ///< Rule count, salt.
+constexpr std::size_t kAccBytes = 8;                  ///< One f64.
+
+bool count_fits(const WireReader& r, std::uint32_t n, std::size_t entry_bytes) {
+  return n <= r.remaining() / entry_bytes;
+}
+
 void encode_rule(WireWriter& w, const noise::InjectionRule& rule) {
   w.u8(rule.kind.has_value() ? 1 : 0);
   w.u8(rule.kind.has_value() ? static_cast<std::uint8_t>(*rule.kind) : 0);
@@ -150,7 +160,7 @@ void encode_point(WireWriter& w, const core::SweepPointSpec& p) {
 
 bool decode_point(WireReader& r, core::SweepPointSpec* p) {
   std::uint32_t n = 0;
-  if (!r.u32(&n)) return false;
+  if (!r.u32(&n) || !count_fits(r, n, kMinRuleBytes)) return false;
   p->rules.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!decode_rule(r, &p->rules[i])) return false;
@@ -246,6 +256,7 @@ bool decode_shard(WireReader& r, core::SweepShard* s) {
         r.str(&s->component) && r.u32(&bits) && r.u32(&npoints)))
     return false;
   if (backend > static_cast<std::uint8_t>(core::ShardBackend::kEmulated)) return false;
+  if (!count_fits(r, npoints, kMinPointBytes)) return false;
   s->backend = static_cast<core::ShardBackend>(backend);
   s->bits = static_cast<int>(bits);
   s->points.resize(npoints);
@@ -265,6 +276,7 @@ void encode_outcome(WireWriter& w, const core::ShardOutcome& o) {
 bool decode_outcome(WireReader& r, core::ShardOutcome* o) {
   std::uint32_t n = 0;
   if (!(r.u64(&o->id) && r.f64(&o->base) && r.u32(&n))) return false;
+  if (!count_fits(r, n, kAccBytes)) return false;
   o->acc.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!r.f64(&o->acc[i])) return false;

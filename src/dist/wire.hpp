@@ -91,6 +91,10 @@ class WireReader {
   [[nodiscard]] bool str(std::string* s);
 
   [[nodiscard]] bool ok() const { return ok_; }
+  /// Unread bytes. Decoders bound every count field by it before
+  /// allocating, so an inflated count cannot request more entries than
+  /// the payload could hold.
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   /// True when the payload was consumed exactly (trailing garbage is a
   /// decode failure — it means the two sides disagree on the schema).
   [[nodiscard]] bool done() const { return ok_ && pos_ == size_; }

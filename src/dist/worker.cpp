@@ -11,7 +11,7 @@
 
 #include "dist/wire.hpp"
 #include "obs/trace.hpp"
-#include "serve/fault.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::dist {
 namespace {
@@ -28,8 +28,8 @@ bool send_result(const Socket& sock, std::mutex& send_mu,
   WireWriter w;
   encode_result(w, result);
   bool corrupt = false;
-  if (serve::fault::armed()) {
-    serve::fault::FaultPlan* plan = serve::fault::plan();
+  if (fault::armed()) {
+    fault::FaultPlan* plan = fault::plan();
     std::int64_t stall = 0;
     if (plan->stall_socket(stall)) sleep_us(stall);
     corrupt = plan->corrupt_result_frame();
@@ -107,8 +107,8 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
     while (!stop.load(std::memory_order_acquire)) {
       sleep_us(cfg.heartbeat_interval_ms * 1000);
       if (stop.load(std::memory_order_acquire)) break;
-      if (serve::fault::armed()) {
-        serve::fault::FaultPlan* plan = serve::fault::plan();
+      if (fault::armed()) {
+        fault::FaultPlan* plan = fault::plan();
         sleep_us(plan->heartbeat_delay_us());
         if (plan->drop_heartbeat()) continue;
       }
@@ -177,8 +177,8 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
 
     // Kill fault: exit WITHOUT sending — the coordinator must recover the
     // shard via heartbeat deadline + reassignment, the hard-crash path.
-    if (serve::fault::armed() &&
-        serve::fault::plan()->kill_worker(
+    if (fault::armed() &&
+        fault::plan()->kill_worker(
             cfg.name, static_cast<std::int64_t>(done_before))) {
       stats.killed_by_fault = true;
       stop.store(true, std::memory_order_release);

@@ -14,7 +14,7 @@
 // parallelism; letting each also fan out over all cores oversubscribes
 // the machine.
 //
-// Fault sites (serve/fault, armed only in tests/chaos): kill-after-N-
+// Fault sites (util/fault, armed only in tests/chaos): kill-after-N-
 // shards (exit without sending the pending result — the hard-crash
 // case), heartbeat drop/delay, result-frame corruption, pre-send socket
 // stall.

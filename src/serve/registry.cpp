@@ -7,7 +7,7 @@
 #include "capsnet/deepcaps_model.hpp"
 #include "capsnet/serialize.hpp"
 #include "capsnet/trainer.hpp"
-#include "serve/fault.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::serve {
 namespace {

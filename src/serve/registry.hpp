@@ -73,7 +73,7 @@ class ModelRegistry {
   /// overrides), loads the checkpoint (resolved relative to the manifest's
   /// directory), and audits the const-forward contract with a zero probe.
   /// Returns nullptr (with a stderr note) on any failure. The checkpoint
-  /// read honors the armed fault plan (serve/fault.hpp): a corruption
+  /// read honors the armed fault plan (util/fault.hpp): a corruption
   /// fault loads a truncated copy, which load_params rejects.
   static std::unique_ptr<ModelRegistry> open(const std::string& manifest_path);
 

@@ -11,9 +11,9 @@
 #endif
 
 #include "obs/trace.hpp"
-#include "serve/fault.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::serve {
 namespace {

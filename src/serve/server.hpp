@@ -18,7 +18,7 @@
 // Above the queue's high watermark the server can optionally serve
 // expensive variants (designed/emulated) with the cheap exact variant —
 // flagged on the Prediction and counted — and sheds load instead of
-// wedging. serve/fault.hpp injects worker stalls, backend failures and
+// wedging. util/fault.hpp injects worker stalls, backend failures and
 // queue pressure behind zero-cost-when-off hooks; tests/test_chaos.cpp is
 // the soak proving every future resolves under every fault mix.
 //

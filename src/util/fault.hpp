@@ -1,12 +1,13 @@
-// Deterministic fault injection for the serving stack.
+// Deterministic fault injection for the runtime layers.
 //
 // ReD-CaNe injects noise into the *model* to measure its resilience; this
-// module injects faults into the *runtime* to prove the serving stack's
-// resilience: worker stalls, backend execution failures, corrupted
-// checkpoint reads, and artificial queue pressure. The chaos soak test
-// (tests/test_chaos.cpp) arms every mix of these and asserts the
-// fault-tolerance contract — every future resolves, counters reconcile,
-// shutdown completes.
+// module injects faults into the *runtime* to prove its resilience. It is
+// a neutral layer below both users: the serving stack (src/serve/: worker
+// stalls, backend execution failures, corrupted checkpoint reads,
+// artificial queue pressure) and the distributed sweep (src/dist/: worker
+// kills, heartbeat loss, frame corruption, socket stalls, coordinator
+// crashes). The chaos suites (tests/test_chaos.cpp, tests/test_dist_chaos.cpp)
+// arm every mix of these and assert each layer's fault-tolerance contract.
 //
 // Determinism: every decision is a pure function of (plan seed, fault
 // site, per-site sequence number) through a splitmix64 hash — the k-th
@@ -20,7 +21,9 @@
 // the chaos bench segment, and via the REDCANE_FAULTS env spec.
 //
 // Spec grammar (comma-separated key=value, e.g. for REDCANE_FAULTS or
-// redcane_serve --faults):
+// redcane_serve --faults). Values must be finite; probabilities lie in
+// [0, 1], flags are 0 or 1, and counts and durations are non-negative
+// integers that fit their field:
 //   seed=N        decision-stream seed                     (default 1)
 //   stall=P       worker stall probability per batch       (default 0)
 //   stall_us=N    stall duration [us]                      (default 2000)
@@ -41,11 +44,13 @@
 //                    appends (resume-from-journal tests)      (default off)
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
-namespace redcane::serve::fault {
+namespace redcane::fault {
 
 struct FaultConfig {
   std::uint64_t seed = 1;
@@ -86,21 +91,35 @@ struct FaultCounters {
   std::int64_t socket_stalls = 0;
 };
 
+/// The fault sites: one sequence counter and one hit counter each. The
+/// first six are probabilistic decision streams; the worker kill is a pure
+/// comparison that only counts its hits.
+enum class Site : std::uint8_t {
+  kWorkerStall,
+  kBackend,
+  kCheckpoint,
+  kHeartbeat,
+  kFrame,
+  kSocket,
+  kWorkerKill,
+};
+inline constexpr std::size_t kSiteCount = static_cast<std::size_t>(Site::kWorkerKill) + 1;
+
 /// A seed-driven fault decision stream. Thread-safe: per-site sequence
 /// counters are atomic, decisions are pure hashes.
 class FaultPlan {
  public:
-  explicit FaultPlan(FaultConfig cfg) : cfg_(cfg) {}
+  explicit FaultPlan(FaultConfig cfg);
 
   /// True when the worker should stall before handling its next batch;
   /// `us` receives the stall duration.
   [[nodiscard]] bool stall_worker(std::int64_t& us);
 
   /// True when this backend execution should fail.
-  [[nodiscard]] bool fail_backend();
+  [[nodiscard]] bool fail_backend() { return decide(Site::kBackend); }
 
   /// True when this checkpoint read should be corrupted.
-  [[nodiscard]] bool corrupt_checkpoint();
+  [[nodiscard]] bool corrupt_checkpoint() { return decide(Site::kCheckpoint); }
 
   /// True when the dist worker named `name` should exit (without sending
   /// its pending result) after having completed `shards_done` shards. A
@@ -109,7 +128,7 @@ class FaultPlan {
   [[nodiscard]] bool kill_worker(const std::string& name, std::int64_t shards_done);
 
   /// True when this heartbeat send should be silently dropped.
-  [[nodiscard]] bool drop_heartbeat();
+  [[nodiscard]] bool drop_heartbeat() { return decide(Site::kHeartbeat); }
 
   /// Artificial delay added before every heartbeat send [us] (0 = none).
   [[nodiscard]] std::int64_t heartbeat_delay_us() const {
@@ -117,7 +136,7 @@ class FaultPlan {
   }
 
   /// True when this result frame's payload should be corrupted in flight.
-  [[nodiscard]] bool corrupt_result_frame();
+  [[nodiscard]] bool corrupt_result_frame() { return decide(Site::kFrame); }
 
   /// True when the worker should stall before its next result send;
   /// `us` receives the stall duration.
@@ -136,23 +155,15 @@ class FaultPlan {
   [[nodiscard]] FaultCounters counters() const;
 
  private:
-  [[nodiscard]] bool decide(std::uint64_t site, std::atomic<std::uint64_t>& seq,
-                            double prob);
+  /// THE decision path of every probabilistic site: true when the next
+  /// query at `site` should fault (counted as a hit). A site whose
+  /// probability is 0 never faults and does not advance its sequence.
+  [[nodiscard]] bool decide(Site site);
 
   FaultConfig cfg_;
-  std::atomic<std::uint64_t> stall_seq_{0};
-  std::atomic<std::uint64_t> backend_seq_{0};
-  std::atomic<std::uint64_t> ckpt_seq_{0};
-  std::atomic<std::uint64_t> hb_seq_{0};
-  std::atomic<std::uint64_t> frame_seq_{0};
-  std::atomic<std::uint64_t> sock_seq_{0};
-  std::atomic<std::int64_t> stalls_{0};
-  std::atomic<std::int64_t> backend_failures_{0};
-  std::atomic<std::int64_t> ckpt_corruptions_{0};
-  std::atomic<std::int64_t> worker_kills_{0};
-  std::atomic<std::int64_t> hb_drops_{0};
-  std::atomic<std::int64_t> frame_corruptions_{0};
-  std::atomic<std::int64_t> sock_stalls_{0};
+  std::array<double, kSiteCount> prob_{};  ///< Per-site fault probability.
+  std::array<std::atomic<std::uint64_t>, kSiteCount> seq_{};
+  std::array<std::atomic<std::int64_t>, kSiteCount> hits_{};
 };
 
 /// True when a fault plan is armed process-wide. The only cost production
@@ -181,7 +192,8 @@ class ScopedFaultPlan {
 };
 
 /// Parses the spec grammar above into `out` (unparsed keys fail). Returns
-/// false (leaving `out` unspecified) on a malformed spec.
+/// false (leaving `out` unspecified) on a malformed spec or an
+/// out-of-range value.
 [[nodiscard]] bool parse_spec(const std::string& spec, FaultConfig& out);
 
 /// Writes a copy of `src` truncated at a seed-driven offset strictly inside
@@ -190,4 +202,4 @@ class ScopedFaultPlan {
 [[nodiscard]] bool write_truncated_copy(const std::string& src, const std::string& dst,
                                         std::uint64_t seed);
 
-}  // namespace redcane::serve::fault
+}  // namespace redcane::fault

@@ -1,5 +1,5 @@
 // splitmix64 — the repo's standard seed-scrambling finalizer, shared by
-// the serving fault injector (serve/fault) and the distributed retry
+// the fault injector (util/fault) and the distributed retry
 // jitter (dist/backoff) so both decision streams are pure functions of
 // (seed, site, sequence) with no shared state.
 #pragma once

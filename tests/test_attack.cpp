@@ -4,8 +4,9 @@
 //  * PGD iterates stay inside the L-inf epsilon ball and the clip range;
 //  * attack generation is deterministic: bitwise-identical perturbed
 //    batches across repeated runs and across OpenMP thread counts;
-//  * the affine warp is a bitwise no-op at identity and inverse-composes
-//    within bilinear-resampling tolerance;
+//  * the affine warp is a bitwise no-op at identity, inverse-composes
+//    within bilinear-resampling tolerance, and reads nothing when every
+//    sample lands far outside the image;
 //  * the spec grammar parses canonically and rejects malformed input.
 #include "attack/attack.hpp"
 
@@ -239,6 +240,23 @@ TEST(Attack, AffineInverseCompositionRoundTrips) {
   }
 }
 
+TEST(Attack, AffineWarpFarOutsideTheImageReadsNothing) {
+  // Finite specs the grammar accepts that sample only far outside the
+  // image: every output pixel is 0, and no sample coordinate is cast out
+  // of range (the ASan+UBSan build aborts on such a cast).
+  const data::Dataset ds = tiny_dataset(2);
+  Rng rng(26);
+  capsnet::CapsNetModel model(tiny_config(), rng);
+  const std::vector<std::int64_t> labels(ds.test_y.begin(), ds.test_y.end());
+  for (const char* text : {"translate:px=1e300", "translate:px=-1e300", "scale:factor=1e-320"}) {
+    AttackSpec spec;
+    std::string error;
+    ASSERT_TRUE(parse_attack_spec(text, &spec, &error)) << text << ": " << error;
+    const Tensor out = apply_attack(model, ds.test_x, labels, spec);
+    for (const float v : out.data()) ASSERT_EQ(v, 0.0f) << text;
+  }
+}
+
 TEST(Attack, SpecParserAcceptsGrammarAndRejectsMalformedInput) {
   AttackSpec spec;
   std::string error;
@@ -267,7 +285,7 @@ TEST(Attack, SpecParserAcceptsGrammarAndRejectsMalformedInput) {
        {"", "fgsm", "fgsm:", "fgsm:eps=abc", "fgsm:eps=0", "fgsm:eps=-1",
         "fgsm:eps=0.1,bogus=2", "warp:deg=5", "pgd:eps=0.1,steps=0",
         "pgd:eps=0.1,steps=1.5", "rotate:deg=1deg", "scale:factor=0", "none:x=1",
-        "translate:=2", "rotate:deg"}) {
+        "translate:=2", "rotate:deg", "pgd:eps=0.1,steps=1e12", "fgsm:eps=nan"}) {
     error.clear();
     EXPECT_FALSE(parse_attack_spec(bad, &spec, &error)) << "accepted '" << bad << "'";
     EXPECT_FALSE(error.empty()) << "no error message for '" << bad << "'";

@@ -9,8 +9,9 @@
 //    thread-local, and nests;
 //  * NoiseBackend reproduces the GaussianInjector streams of the sweep
 //    engine / serving registry seeding discipline;
-//  * SweepEngine::backend_accuracy agrees with point_accuracy for
-//    rule-expressible backends and runs opaque backends full-batch;
+//  * SweepEngine::evaluate over a backend agrees with evaluating the
+//    same point for rule-expressible backends and runs opaque backends
+//    full-batch;
 //  * Step 7: cross_validate_design reports |predicted - emulated| <= 2 pp
 //    for accurate-multiplier selections (the acceptance gate of the
 //    noise-model cross-validation).
@@ -368,7 +369,7 @@ TEST(Backends, NoiseBackendReproducesInjectorStream) {
   }
 }
 
-TEST(Backends, SweepEngineBackendAccuracyAgreesWithPointAccuracy) {
+TEST(Backends, SweepEngineBackendEvaluationAgreesWithPointEvaluation) {
   Rng rng(14);
   capsnet::CapsNetConfig cfg = capsnet::CapsNetConfig::tiny();
   cfg.input_hw = 12;
@@ -387,17 +388,18 @@ TEST(Backends, SweepEngineBackendAccuracyAgreesWithPointAccuracy) {
   std::vector<noise::InjectionRule> rules{
       noise::group_rule(capsnet::OpKind::kMacOutput, noise::NoiseSpec{0.1, 0.0})};
 
+  const attack::AttackSpec clean = attack::AttackSpec::none();
   core::SweepEngine a(model, ds.test_x, ds.test_y, ec);
-  const double via_point = a.point_accuracy(rules, 3);
+  const double via_point = a.evaluate(clean, {core::SweepPointSpec{rules, 3}}).front();
   core::SweepEngine b(model, ds.test_x, ds.test_y, ec);
   const NoiseBackend nb(rules, ec.seed);
-  const double via_backend = b.backend_accuracy(nb, 3);
+  const double via_backend = b.evaluate(clean, nb, 3);
   EXPECT_EQ(via_point, via_backend);
 
   // An empty emulation plan is the exact network: full-batch backend runs
   // must land exactly on the clean accuracy.
   const EmulatedBackend none((EmulationPlan()));
-  EXPECT_EQ(b.backend_accuracy(none, 0), b.clean_accuracy());
+  EXPECT_EQ(b.evaluate(clean, none, 0), b.accuracy(clean));
 }
 
 TEST(Backends, CrossValidateExactSelectionsWithinTwoPp) {

@@ -1,4 +1,4 @@
-// Chaos soak of the fault-tolerant serving stack (src/serve/fault.hpp).
+// Chaos soak of the fault-tolerant serving stack (src/util/fault.hpp).
 //
 // Under every injected fault mix — worker stalls, backend execution
 // failures, forced queue pressure, bounded-queue overflow, per-request
@@ -33,8 +33,8 @@
 #include "core/groups.hpp"
 #include "core/manifest.hpp"
 #include "data/synthetic.hpp"
-#include "serve/fault.hpp"
 #include "serve/server.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::serve {
 namespace {
@@ -389,6 +389,12 @@ TEST(Chaos, FaultSpecParses) {
   EXPECT_FALSE(fault::parse_spec("stall", fc));          // No value.
   EXPECT_FALSE(fault::parse_spec("warp=1", fc));         // Unknown key.
   EXPECT_FALSE(fault::parse_spec("stall=fast", fc));     // Non-numeric.
+  // Out of range: rejected, never cast.
+  for (const char* bad : {"seed=-1", "seed=1e300", "seed=2.5", "stall_us=1e300",
+                          "stall_us=-5", "stall=nan", "stall=-0.1", "backend=1.5",
+                          "hb_drop=inf", "kill_after=1e19", "coord_crash=-1", "full=2"}) {
+    EXPECT_FALSE(fault::parse_spec(bad, fc)) << "accepted '" << bad << "'";
+  }
 }
 
 }  // namespace

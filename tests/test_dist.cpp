@@ -1,11 +1,12 @@
 // Distributed sweep layer contracts (src/dist/):
 //  * the wire codec round-trips every message type exactly, rejects
-//    truncated/trailing-garbage payloads, and the framed transport
+//    truncated/trailing-garbage payloads and inflated count fields
+//    (before allocating), and the framed transport
 //    detects corruption, oversize frames, timeouts and orderly close;
 //  * the run journal recovers exactly the records that reached disk,
 //    truncates torn tails, and refuses a mismatched job hash;
 //  * a coordinator plus real worker loops produces grids bitwise
-//    identical to the in-process analyzer, with reconciled accounting,
+//    identical to the in-process run, with reconciled accounting,
 //    under normal operation, degradation, and journal resume;
 //  * chunking a plan differently cannot change any assembled value.
 #include <gtest/gtest.h>
@@ -26,7 +27,7 @@
 #include "dist/journal.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
-#include "serve/fault.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::dist {
 namespace {
@@ -162,6 +163,61 @@ TEST(DistWire, DecodeRejectsTruncationAndTrailingGarbage) {
   extra.push_back(0);
   WireReader r(extra.data(), extra.size());
   EXPECT_FALSE(decode_shard(r, &out));
+}
+
+/// Overwrites the little-endian u32 at `at` with 0xFFFFFFFF.
+std::vector<std::uint8_t> inflate_u32(std::vector<std::uint8_t> bytes, std::size_t at) {
+  for (std::size_t i = 0; i < 4; ++i) bytes[at + i] = 0xFF;
+  return bytes;
+}
+
+// Inflated count fields are rejected before any allocation: each decoder
+// bounds its count by the bytes left, so a 2^32-1 count cannot request
+// gigabytes (a throw there would terminate a coordinator thread).
+TEST(DistWire, ResultAccCountIsBoundedBeforeAllocation) {
+  // An empty result is 60 bytes: 5 u64 header fields, the outcome's id and
+  // base, then the u32 acc count.
+  WireWriter w;
+  encode_result(w, ResultMsg{});
+  ASSERT_EQ(w.bytes().size(), 60u);
+  const std::vector<std::uint8_t> bad = inflate_u32(w.bytes(), 56);
+  ResultMsg out;
+  WireReader r(bad.data(), bad.size());
+  EXPECT_FALSE(decode_result(r, &out));
+  EXPECT_TRUE(out.outcome.acc.empty());
+}
+
+TEST(DistWire, ShardPointCountIsBoundedBeforeAllocation) {
+  core::SweepShard s = sample_shard();
+  s.points.clear();
+  WireWriter w;
+  encode_shard(w, s);  // Ends with the u32 point count.
+  const std::vector<std::uint8_t> bad = inflate_u32(w.bytes(), w.bytes().size() - 4);
+  core::SweepShard out;
+  WireReader r(bad.data(), bad.size());
+  EXPECT_FALSE(decode_shard(r, &out));
+  EXPECT_TRUE(out.points.empty());
+}
+
+TEST(DistWire, PointRuleCountIsBoundedBeforeAllocation) {
+  core::SweepShard s = sample_shard();
+  s.points.resize(1);
+  WireWriter w;
+  encode_shard(w, s);
+  // The point's rule count is the first field after the point-less shard.
+  core::SweepShard header = s;
+  header.points.clear();
+  WireWriter h;
+  encode_shard(h, header);
+  const std::vector<std::uint8_t> bad = inflate_u32(w.bytes(), h.bytes().size());
+  core::SweepShard good;
+  WireReader ok(w.bytes().data(), w.bytes().size());
+  ASSERT_TRUE(decode_shard(ok, &good));
+  core::SweepShard out;
+  WireReader r(bad.data(), bad.size());
+  EXPECT_FALSE(decode_shard(r, &out));
+  ASSERT_EQ(out.points.size(), 1u);
+  EXPECT_TRUE(out.points[0].rules.empty());
 }
 
 // ---- framed transport ------------------------------------------------
@@ -558,9 +614,9 @@ TEST(DistEndToEnd, ResumeFromJournalSkipsCompletedShards) {
 
   // First run: crash the coordinator (simulated) after 5 journal appends.
   {
-    serve::fault::FaultConfig fc;
+    fault::FaultConfig fc;
     fc.coord_crash_after = 5;
-    serve::fault::ScopedFaultPlan plan(fc);
+    fault::ScopedFaultPlan plan(fc);
 
     StandardJob job = make_standard_job("quick");
     CoordinatorConfig cfg;
@@ -603,27 +659,21 @@ TEST(DistPlan, ChunkSizeCannotChangeAssembledValues) {
   core::SweepEngine engine(*job.model, job.dataset.test_x, job.dataset.test_y,
                            job_engine_config(job, /*threads=*/1));
 
-  const core::CurvePlan& plan = job.curves.front().plan;
-  std::vector<std::vector<double>> per_chunking;
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, plan.points.size()}) {
-    const std::vector<core::SweepShard> shards =
-        core::chunk_shards(/*first_id=*/0, attack::AttackSpec::none(), plan.points,
-                           chunk);
-    std::vector<double> acc;
-    double base = 0.0;
-    for (const core::SweepShard& s : shards) {
-      const core::ShardOutcome o = core::run_shard(engine, s);
-      base = o.base;
-      acc.insert(acc.end(), o.acc.begin(), o.acc.end());
+  // Every plan of the job (curves and all three Step-8 grids), chunked
+  // three ways and run shard by shard, assembles bitwise like the whole
+  // plan run in process.
+  JobGrids whole;
+  for (const core::GridPlan& plan : job.plans) core::run_plan(engine, plan, &whole);
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{1000}}) {
+    JobGrids chunked;
+    for (const core::GridPlan& plan : job.plans) {
+      std::vector<core::SweepShard> shards;
+      core::chunk_plan(plan, chunk, &shards);
+      std::vector<core::ShardOutcome> outcomes;
+      for (const core::SweepShard& s : shards) outcomes.push_back(core::run_shard(engine, s));
+      EXPECT_EQ(core::assemble(plan, outcomes, &chunked), outcomes.size());
     }
-    const core::ResilienceCurve curve = core::assemble_curve(plan, base, acc);
-    per_chunking.push_back(curve.drop_pct);
-  }
-  for (std::size_t i = 1; i < per_chunking.size(); ++i) {
-    ASSERT_EQ(per_chunking[i].size(), per_chunking[0].size());
-    for (std::size_t j = 0; j < per_chunking[0].size(); ++j) {
-      EXPECT_EQ(per_chunking[i][j], per_chunking[0][j]) << "chunking " << i;
-    }
+    EXPECT_TRUE(grids_identical(chunked, whole)) << "chunk " << chunk;
   }
 }
 

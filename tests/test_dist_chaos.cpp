@@ -1,5 +1,5 @@
 // Chaos suite of the distributed sweep layer: every distributed fault
-// site (serve/fault), alone and mixed, against a real coordinator +
+// site (util/fault), alone and mixed, against a real coordinator +
 // worker-loop deployment. The contract after every scenario:
 //  * the run completes (via reassignment, late results, or graceful
 //    degradation to local execution),
@@ -21,7 +21,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/job.hpp"
 #include "dist/worker.hpp"
-#include "serve/fault.hpp"
+#include "util/fault.hpp"
 
 namespace redcane::dist {
 namespace {
@@ -98,10 +98,10 @@ void expect_contract(const ChaosRun& run) {
 }
 
 TEST(DistChaos, KillOneWorkerMidRun) {
-  serve::fault::FaultConfig fc;
+  fault::FaultConfig fc;
   fc.kill_worker_after = 1;  // w0 exits after its first completed shard...
   fc.kill_worker_name = "w0";  // ...without sending the second result.
-  serve::fault::ScopedFaultPlan plan(fc);
+  fault::ScopedFaultPlan plan(fc);
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 300;
@@ -114,9 +114,9 @@ TEST(DistChaos, KillOneWorkerMidRun) {
 }
 
 TEST(DistChaos, KillEveryWorkerDegradesToLocal) {
-  serve::fault::FaultConfig fc;
+  fault::FaultConfig fc;
   fc.kill_worker_after = 0;  // Every worker dies on its first shard.
-  serve::fault::ScopedFaultPlan plan(fc);
+  fault::ScopedFaultPlan plan(fc);
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 300;
@@ -128,11 +128,11 @@ TEST(DistChaos, KillEveryWorkerDegradesToLocal) {
 }
 
 TEST(DistChaos, HeartbeatLossWithSlowResultsForcesStealsButAcceptsLateWork) {
-  serve::fault::FaultConfig fc;
+  fault::FaultConfig fc;
   fc.heartbeat_drop_prob = 1.0;  // Total heartbeat loss...
   fc.sock_stall_prob = 1.0;      // ...and every result delayed past the
   fc.sock_stall_us = 250'000;    // liveness deadline: every assignment is
-  serve::fault::ScopedFaultPlan plan(fc);  // stolen, then lands late.
+  fault::ScopedFaultPlan plan(fc);  // stolen, then lands late.
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 100;
@@ -148,9 +148,9 @@ TEST(DistChaos, HeartbeatLossWithSlowResultsForcesStealsButAcceptsLateWork) {
 }
 
 TEST(DistChaos, CorruptedResultFramesAreFatalToTheConnectionNotTheRun) {
-  serve::fault::FaultConfig fc;
+  fault::FaultConfig fc;
   fc.frame_corrupt_prob = 0.3;
-  serve::fault::ScopedFaultPlan plan(fc);
+  fault::ScopedFaultPlan plan(fc);
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 500;
@@ -165,10 +165,10 @@ TEST(DistChaos, CorruptedResultFramesAreFatalToTheConnectionNotTheRun) {
 }
 
 TEST(DistChaos, StalledSocketsDelayButDoNotCorrupt) {
-  serve::fault::FaultConfig fc;
+  fault::FaultConfig fc;
   fc.sock_stall_prob = 0.5;
   fc.sock_stall_us = 30'000;  // Under the deadline: stalls alone, no steals.
-  serve::fault::ScopedFaultPlan plan(fc);
+  fault::ScopedFaultPlan plan(fc);
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 1000;
@@ -178,14 +178,14 @@ TEST(DistChaos, StalledSocketsDelayButDoNotCorrupt) {
 }
 
 TEST(DistChaos, CombinedFaultMix) {
-  serve::fault::FaultConfig fc;
+  fault::FaultConfig fc;
   fc.kill_worker_after = 2;
   fc.kill_worker_name = "w1";
   fc.heartbeat_drop_prob = 0.5;
   fc.frame_corrupt_prob = 0.1;
   fc.sock_stall_prob = 0.3;
   fc.sock_stall_us = 40'000;
-  serve::fault::ScopedFaultPlan plan(fc);
+  fault::ScopedFaultPlan plan(fc);
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 250;
@@ -202,11 +202,11 @@ TEST(DistChaos, CoordinatorCrashThenResumeUnderWorkerChaos) {
   // Phase 1: coordinator "crashes" after 4 journal appends while workers
   // are also stalling.
   {
-    serve::fault::FaultConfig fc;
+    fault::FaultConfig fc;
     fc.coord_crash_after = 4;
     fc.sock_stall_prob = 0.3;
     fc.sock_stall_us = 20'000;
-    serve::fault::ScopedFaultPlan plan(fc);
+    fault::ScopedFaultPlan plan(fc);
 
     CoordinatorConfig cfg;
     cfg.journal_path = journal;
@@ -219,9 +219,9 @@ TEST(DistChaos, CoordinatorCrashThenResumeUnderWorkerChaos) {
   // journaled shards must not re-run, and the final grids must be bitwise
   // those of an uninterrupted run.
   {
-    serve::fault::FaultConfig fc;
+    fault::FaultConfig fc;
     fc.frame_corrupt_prob = 0.1;
-    serve::fault::ScopedFaultPlan plan(fc);
+    fault::ScopedFaultPlan plan(fc);
 
     CoordinatorConfig cfg;
     cfg.journal_path = journal;

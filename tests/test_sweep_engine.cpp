@@ -1,6 +1,8 @@
 // Sweep-engine contracts:
 //  * parallel + prefix-cached sweeps are bit-identical to the serial
 //    full-forward driver, across thread counts;
+//  * Step-8 exact and emulated grids match independent references
+//    (capsnet::evaluate, EmulatedBackend::run per batch) bitwise;
 //  * a cached-prefix replay from any injection site matches a from-scratch
 //    noisy forward exactly, for both model architectures;
 //  * the engine's exploration-cost counters account for what was skipped.
@@ -14,6 +16,7 @@
 #include <memory>
 #include <thread>
 
+#include "backend/emulation.hpp"
 #include "capsnet/capsnet_model.hpp"
 #include "capsnet/deepcaps_model.hpp"
 #include "capsnet/trainer.hpp"
@@ -233,13 +236,13 @@ TEST(SweepEngine, StatsAccountForSkippedStages) {
   cfg.eval_batch = 16;
   cfg.threads = 1;
   SweepEngine engine(model, ds.test_x, ds.test_y, cfg);
-  (void)engine.clean_accuracy();
+  (void)engine.accuracy(attack::AttackSpec::none());
 
   // Softmax sites live in the routing stage: nearly the whole network is a
   // cached prefix for this rule.
   const std::vector<noise::InjectionRule> rules{
       noise::group_rule(OpKind::kSoftmax, noise::NoiseSpec{0.1, 0.0})};
-  (void)engine.point_accuracy(rules, 1);
+  (void)engine.evaluate(attack::AttackSpec::none(), {SweepPointSpec{rules, 1}});
   EXPECT_EQ(engine.stats().evaluations, 1);
   EXPECT_EQ(engine.stats().cache_hits, 2);  // Two test batches replayed.
   EXPECT_GT(engine.stats().stages_skipped, 0);
@@ -250,7 +253,7 @@ TEST(SweepEngine, StatsAccountForSkippedStages) {
   SweepEngine engine2(model, ds.test_x, ds.test_y, cfg);
   const std::vector<noise::InjectionRule> mac_rules{
       noise::group_rule(OpKind::kMacOutput, noise::NoiseSpec{0.1, 0.0})};
-  (void)engine2.point_accuracy(mac_rules, 1);
+  (void)engine2.evaluate(attack::AttackSpec::none(), {SweepPointSpec{mac_rules, 1}});
   EXPECT_EQ(engine2.stats().cache_hits, 0);
   EXPECT_EQ(engine2.stats().stages_skipped, 0);
 }
@@ -338,6 +341,85 @@ TEST(SweepEngine, AttackedSweepGridsAreBitIdenticalToSerial) {
   }
 }
 
+/// Every MAC-output layer of `model` on `component` — built here from the
+/// site list, not through the engine's planning.
+backend::EmulationPlan component_plan(capsnet::CapsModel& model, const Tensor& probe,
+                                      const std::string& component) {
+  backend::EmulationPlan plan;
+  for (const Site& site : extract_sites(model, probe)) {
+    if (site.kind != OpKind::kMacOutput) continue;
+    EXPECT_TRUE(plan.set_by_name(site.layer, component, /*adder=*/"", /*bits=*/8));
+  }
+  return plan;
+}
+
+/// Accuracy of `b` run batch by batch (the engine's eval_batch geometry)
+/// over `images`.
+double backend_reference(capsnet::CapsModel& model, const Tensor& images,
+                         const std::vector<std::int64_t>& labels,
+                         const backend::ExecBackend& b, std::int64_t eval_batch) {
+  const std::int64_t n = images.shape().dim(0);
+  std::int64_t hits = 0;
+  for (std::int64_t at = 0; at < n; at += eval_batch) {
+    const std::int64_t end = std::min(n, at + eval_batch);
+    const Tensor v = b.run(model, capsnet::slice_rows(images, at, end), /*salt=*/0);
+    hits += capsnet::count_correct(
+        v, std::span<const std::int64_t>(labels.data() + at, static_cast<std::size_t>(end - at)));
+  }
+  return static_cast<double>(hits) / static_cast<double>(n);
+}
+
+TEST(SweepEngine, AttackedExactAndEmulatedGridsMatchIndependentReferences) {
+  Rng rng(15);
+  capsnet::CapsNetModel model(small_capsnet_config(), rng);
+  const data::Dataset ds = small_dataset(14, 1, 40);
+
+  attack::Scenario fgsm;
+  fgsm.kind = attack::AttackKind::kFgsm;
+  fgsm.severities = {0.05, 0.1};
+  attack::Scenario rotate;
+  rotate.kind = attack::AttackKind::kRotate;
+  rotate.severities = {12.0};
+  const std::vector<std::string> components = {"axm_exact", "axm_drum4_dm1"};
+  const Tensor probe = capsnet::slice_rows(ds.test_x, 0, 1);
+
+  const int hw_threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const attack::Scenario& scenario : {fgsm, rotate}) {
+    // References: capsnet::evaluate on the attacked test set (exact), and
+    // EmulatedBackend::run per batch on it (emulated), row-major.
+    const ResilienceConfig cfg = quick_config(1, true);
+    std::vector<double> exact_ref, emulated_ref;
+    for (double severity : scenario.severities) {
+      const Tensor adv = attacked_test_set(model, ds, scenario.at(severity), cfg.eval_batch);
+      exact_ref.push_back(capsnet::evaluate(model, adv, ds.test_y, nullptr, cfg.eval_batch));
+      for (const std::string& component : components) {
+        const backend::EmulatedBackend emulated(component_plan(model, probe, component));
+        emulated_ref.push_back(
+            backend_reference(model, adv, ds.test_y, emulated, cfg.eval_batch));
+      }
+    }
+
+    for (const int threads : {1, hw_threads}) {
+      ResilienceAnalyzer analyzer(model, ds.test_x, ds.test_y, quick_config(threads, true));
+      const RobustnessGrid exact = analyzer.sweep_attack_exact(scenario);
+      const RobustnessGrid emulated = analyzer.sweep_attack_emulated(scenario, components);
+      EXPECT_EQ(exact.backend, "exact");
+      EXPECT_EQ(emulated.backend, "emulated");
+      EXPECT_EQ(emulated.components, components);
+      ASSERT_EQ(exact.accuracy.size(), exact_ref.size());
+      ASSERT_EQ(emulated.accuracy.size(), emulated_ref.size());
+      for (std::size_t i = 0; i < exact_ref.size(); ++i) {
+        EXPECT_EQ(exact.accuracy[i], exact_ref[i])
+            << scenario.name() << " threads=" << threads << " row " << i;
+      }
+      for (std::size_t i = 0; i < emulated_ref.size(); ++i) {
+        EXPECT_EQ(emulated.accuracy[i], emulated_ref[i])
+            << scenario.name() << " threads=" << threads << " cell " << i;
+      }
+    }
+  }
+}
+
 TEST(SweepEngine, PrefixReplayOnAttackedInputsMatchesFromScratchAtEverySite) {
   Rng rng(11);
   capsnet::CapsNetModel model(small_capsnet_config(), rng);
@@ -364,8 +446,8 @@ TEST(SweepEngine, InputKeyedCacheReusesPerturbedSetsAcrossGridPoints) {
   (void)analyzer.sweep_attack_noise(fgsm, OpKind::kMacOutput);
   const SweepEngineStats& stats = analyzer.engine_stats();
   // One perturbed set per severity row (built by the clean attacked point),
-  // then each row's whole noise axis replays it in one run_attacked_points
-  // lookup: 2 misses, 2 hits.
+  // then each row's whole noise axis replays it in one evaluate lookup:
+  // 2 misses, 2 hits.
   EXPECT_EQ(stats.input_sets, 2);
   EXPECT_EQ(stats.input_cache_hits, 2);
   EXPECT_GT(stats.input_hit_rate(), 0.0);
@@ -382,8 +464,8 @@ TEST(SweepEngine, InputKeyedCacheReusesPerturbedSetsAcrossGridPoints) {
   ec.eval_batch = 16;
   ec.threads = 1;
   SweepEngine engine(model, ds.test_x, ds.test_y, ec);
-  const double clean = engine.clean_accuracy();
-  EXPECT_EQ(engine.attacked_accuracy(attack::AttackSpec::none()), clean);
+  const double clean = engine.accuracy(attack::AttackSpec::none());
+  EXPECT_EQ(engine.accuracy(attack::AttackSpec::rotate(0.0)), clean);
   EXPECT_EQ(engine.stats().input_sets, 0);
   EXPECT_EQ(engine.stats().input_cache_hits, 0);
 }
@@ -410,7 +492,7 @@ TEST(SweepEngine, InputCacheLruBudgetEvictsAndRebuildsIdentically) {
   // to rebuild evicted sets — bitwise identically (attacks are RNG-free).
   for (int round = 0; round < 2; ++round) {
     for (const attack::AttackSpec& spec : specs) {
-      EXPECT_EQ(lru.attacked_accuracy(spec), big.attacked_accuracy(spec))
+      EXPECT_EQ(lru.accuracy(spec), big.accuracy(spec))
           << "round " << round << " severity " << spec.severity;
     }
   }
