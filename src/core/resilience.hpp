@@ -132,7 +132,7 @@ class ResilienceAnalyzer {
   [[nodiscard]] std::int64_t evaluations() const { return engine_.stats().evaluations; }
 
   /// Engine counters: cache hits, stages skipped/total, worker count.
-  [[nodiscard]] const SweepEngineStats& engine_stats() const { return engine_.stats(); }
+  [[nodiscard]] SweepEngineStats engine_stats() const { return engine_.stats(); }
 
   [[nodiscard]] const ResilienceConfig& config() const { return cfg_; }
 

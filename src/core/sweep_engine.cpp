@@ -50,32 +50,38 @@ int SweepEngine::resolve_threads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+const obs::CounterTable<SweepEngineStats, SweepEngine::kCounts> SweepEngine::kCountTable{{
+    {"sweep_evaluations_total", &SweepEngineStats::evaluations},
+    {"sweep_stage_cache_hits_total", &SweepEngineStats::cache_hits},
+    {"sweep_stages_skipped_total", &SweepEngineStats::stages_skipped},
+    {"sweep_stages_run_total", nullptr},
+    {"sweep_stages_total", &SweepEngineStats::stages_total},
+    {"sweep_input_sets_total", &SweepEngineStats::input_sets},
+    {"sweep_input_cache_hits_total", &SweepEngineStats::input_cache_hits},
+    {"sweep_input_evictions_total", &SweepEngineStats::input_evictions},
+}};
+
 SweepEngine::SweepEngine(capsnet::CapsModel& model, const Tensor& test_x,
                          const std::vector<std::int64_t>& test_y, SweepEngineConfig cfg)
-    : model_(model), test_x_(test_x), test_y_(test_y), cfg_(cfg) {}
-
-SweepEngine::~SweepEngine() {
-  // Lifetime stats are cumulative, so a single flush at teardown mirrors
-  // exactly what live per-increment mirroring would have accumulated —
-  // without adding registry RMWs inside eval_point's replay loop.
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter("sweep_evaluations_total").add(stats_.evaluations);
-  reg.counter("sweep_stage_cache_hits_total").add(stats_.cache_hits);
-  reg.counter("sweep_stages_skipped_total").add(stats_.stages_skipped);
-  reg.counter("sweep_stages_run_total").add(stats_.stages_total - stats_.stages_skipped);
-  reg.counter("sweep_stages_total").add(stats_.stages_total);
-  reg.counter("sweep_input_sets_total").add(stats_.input_sets);
-  reg.counter("sweep_input_cache_hits_total").add(stats_.input_cache_hits);
-  reg.counter("sweep_input_evictions_total").add(stats_.input_evictions);
-  reg.add_check("sweep_stage_conservation", [](const obs::Snapshot& snap) {
-    // Skipped + run repartition the stage count a full-forward driver
-    // would have executed; prefix caching only ever removes work.
-    return snap.counter("sweep_stages_skipped_total") +
-                   snap.counter("sweep_stages_run_total") ==
-               snap.counter("sweep_stages_total") &&
-           snap.counter("sweep_stages_skipped_total") <=
-               snap.counter("sweep_stages_total");
+    : model_(model), test_x_(test_x), test_y_(test_y), cfg_(cfg),
+      counts_(obs::counters(kCountTable)) {
+  obs::Registry::instance().add_check("sweep_stage_conservation", [](const obs::Snapshot& s) {
+    return obs::read(kCountTable, s).stages_reconcile(s.counter(kCountTable[kStagesRun].name));
   });
+}
+
+SweepEngineStats SweepEngine::stats() const {
+  SweepEngineStats out = obs::read(kCountTable, counts_);
+  out.input_cache_bytes = input_cache_bytes_;
+  out.threads = threads_;
+  return out;
+}
+
+void SweepEngine::count_stages(const SweepEngineStats& partial) {
+  counts_[kCacheHits].add(partial.cache_hits);
+  counts_[kStagesSkipped].add(partial.stages_skipped);
+  counts_[kStagesRun].add(partial.stages_total - partial.stages_skipped);
+  counts_[kStagesTotal].add(partial.stages_total);
 }
 
 void SweepEngine::record_set(EvalSet& set) {
@@ -113,7 +119,7 @@ void SweepEngine::record_set(EvalSet& set) {
 void SweepEngine::ensure_prepared() {
   if (prepared_) return;
   prepared_ = true;
-  stats_.threads = resolve_threads(cfg_.threads);
+  threads_ = resolve_threads(cfg_.threads);
 
   const std::int64_t n = test_x_.shape().dim(0);
   for (std::int64_t at = 0; at < n; at += cfg_.eval_batch) {
@@ -149,7 +155,7 @@ const SweepEngine::EvalSet& SweepEngine::ensure_attacked(const attack::AttackSpe
   const std::string key = spec.key();
   for (std::size_t i = 0; i < attacked_.size(); ++i) {
     if (attacked_[i].first == key) {
-      ++stats_.input_cache_hits;
+      counts_[kInputCacheHits].add();
       // Refresh to most-recently-used (back). The unique_ptr payload does
       // not move, so the returned reference is stable.
       if (i + 1 != attacked_.size()) {
@@ -166,24 +172,24 @@ const SweepEngine::EvalSet& SweepEngine::ensure_attacked(const attack::AttackSpe
   // mutate layer caches — then record their clean checkpoints so every
   // noisy point over this spec replays suffixes like clean points do.
   OBS_SPAN("sweep/attack_build");
-  ++stats_.input_sets;
+  counts_[kInputSets].add();
   auto set = std::make_unique<EvalSet>();
   set->batch_x.reserve(base_.batch_x.size());
   for (std::size_t b = 0; b < base_.batch_x.size(); ++b) {
     set->batch_x.push_back(attack::apply_attack(model_, base_.batch_x[b], batch_y_[b], spec));
   }
   record_set(*set);
-  stats_.input_cache_bytes += set->bytes;
+  input_cache_bytes_ += set->bytes;
   attacked_.emplace_back(key, std::move(set));
 
   // LRU eviction under the byte budget. The just-built set (back) is
   // exempt: it is about to be used, and evicting it would livelock a
   // budget smaller than one set.
   if (cfg_.input_cache_budget > 0) {
-    while (attacked_.size() > 1 && stats_.input_cache_bytes > cfg_.input_cache_budget) {
-      stats_.input_cache_bytes -= attacked_.front().second->bytes;
+    while (attacked_.size() > 1 && input_cache_bytes_ > cfg_.input_cache_budget) {
+      input_cache_bytes_ -= attacked_.front().second->bytes;
       attacked_.erase(attacked_.begin());
-      ++stats_.input_evictions;
+      counts_[kInputEvictions].add();
     }
   }
   return *attacked_.back().second;
@@ -247,18 +253,23 @@ double SweepEngine::eval_point(const backend::ExecBackend& b, std::uint64_t salt
 double SweepEngine::evaluate(const attack::AttackSpec& spec, const backend::ExecBackend& b,
                              std::uint64_t salt) {
   const EvalSet& set = ensure_attacked(spec);
-  ++stats_.evaluations;
-  if (b.rules() != nullptr) return eval_point(b, salt, set, stats_);
+  counts_[kEvaluations].add();
+  SweepEngineStats partial;
+  if (b.rules() != nullptr) {
+    const double acc = eval_point(b, salt, set, partial);
+    count_stages(partial);
+    return acc;
+  }
 
   // Opaque backend: no site rules to bound the perturbation, so no prefix
   // is provably clean — run full batched forwards.
-  const int stages = model_.num_stages();
   std::int64_t hits = 0;
   for (std::size_t batch = 0; batch < set.batch_x.size(); ++batch) {
-    stats_.stages_total += stages;
+    partial.stages_total += model_.num_stages();
     const Tensor v = b.run(model_, set.batch_x[batch], salt);
     hits += capsnet::count_correct(v, batch_y_[batch]);
   }
+  count_stages(partial);
   return static_cast<double>(hits) / static_cast<double>(test_x_.shape().dim(0));
 }
 
@@ -268,9 +279,9 @@ std::vector<double> SweepEngine::evaluate(const attack::AttackSpec& spec,
   // worker exists: workers only ever replay const checkpoints.
   const EvalSet& set = ensure_attacked(spec);
   OBS_SPAN("sweep/evaluate");
-  stats_.threads = resolve_threads(cfg_.threads);
-  stats_.evaluations += static_cast<std::int64_t>(points.size());
-  const int workers = std::max(1, std::min(stats_.threads, static_cast<int>(points.size())));
+  threads_ = resolve_threads(cfg_.threads);
+  counts_[kEvaluations].add(static_cast<std::int64_t>(points.size()));
+  const int workers = std::max(1, std::min(threads_, static_cast<int>(points.size())));
 
   // Each point owns its slot and its injector; per-worker stats merge after
   // the join. Result assembly is by index, so curves are independent of
@@ -306,11 +317,7 @@ std::vector<double> SweepEngine::evaluate(const attack::AttackSpec& spec,
     }
     for (std::thread& t : pool) t.join();
   }
-  for (const SweepEngineStats& ws : worker_stats) {
-    stats_.cache_hits += ws.cache_hits;
-    stats_.stages_skipped += ws.stages_skipped;
-    stats_.stages_total += ws.stages_total;
-  }
+  for (const SweepEngineStats& mine : worker_stats) count_stages(mine);
   return acc;
 }
 

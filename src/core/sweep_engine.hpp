@@ -45,6 +45,7 @@
 //    the budget, or set prefix_cache = false, which records nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,6 +56,7 @@
 #include "backend/backend.hpp"
 #include "capsnet/model.hpp"
 #include "noise/injector.hpp"
+#include "obs/metrics.hpp"
 
 namespace redcane::core {
 
@@ -86,7 +88,8 @@ struct SweepEngineConfig {
   std::int64_t input_cache_budget = std::int64_t{256} << 20;
 };
 
-/// Exploration-cost counters of one engine lifetime.
+/// Exploration-cost counters of one engine lifetime, a view of the
+/// engine's instruments (children of the `sweep_*_total` counters).
 struct SweepEngineStats {
   std::int64_t evaluations = 0;     ///< Noisy test-set evaluations run.
   std::int64_t cache_hits = 0;      ///< Batch forwards resumed from a cached prefix.
@@ -103,6 +106,12 @@ struct SweepEngineStats {
     return stages_total == 0 ? 0.0
                              : static_cast<double>(stages_skipped) /
                                    static_cast<double>(stages_total);
+  }
+
+  /// The stage law: skipped and (separately counted) run stages partition
+  /// the full-forward count; prefix caching only ever removes work.
+  [[nodiscard]] bool stages_reconcile(std::int64_t stages_run) const {
+    return stages_skipped + stages_run == stages_total && stages_skipped <= stages_total;
   }
 
   /// Fraction of input-keyed lookups served without regenerating the
@@ -126,11 +135,6 @@ class SweepEngine {
  public:
   SweepEngine(capsnet::CapsModel& model, const Tensor& test_x,
               const std::vector<std::int64_t>& test_y, SweepEngineConfig cfg);
-
-  /// Flushes the engine's lifetime stats into the process-wide `sweep_*`
-  /// metrics registry (obs/metrics.hpp) — one batched mirror instead of
-  /// per-evaluation registry traffic on the sweep hot path.
-  ~SweepEngine();
 
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
@@ -161,7 +165,9 @@ class SweepEngine {
   [[nodiscard]] double evaluate(const attack::AttackSpec& spec, const backend::ExecBackend& b,
                                 std::uint64_t salt);
 
-  [[nodiscard]] const SweepEngineStats& stats() const { return stats_; }
+  /// Counts so far; the registry totals already include them (worker
+  /// partials are added when `evaluate(spec, points)` joins its workers).
+  [[nodiscard]] SweepEngineStats stats() const;
   [[nodiscard]] const SweepEngineConfig& config() const { return cfg_; }
   [[nodiscard]] capsnet::CapsModel& model() { return model_; }
   [[nodiscard]] const Tensor& test_x() const { return test_x_; }
@@ -193,8 +199,11 @@ class SweepEngine {
   /// One rule-expressible backend execution over all batches of `set`,
   /// prefix-replayed (b.rules() must be non-null; the hook comes from
   /// b.make_hook(salt), so the backend's own stream seeding is honored).
+  /// Stage counts go to the caller's partial `stats`.
   [[nodiscard]] double eval_point(const backend::ExecBackend& b, std::uint64_t salt,
                                   const EvalSet& set, SweepEngineStats& stats) const;
+  /// Adds the stage counts of a partial to the engine's counters.
+  void count_stages(const SweepEngineStats& partial);
 
   capsnet::CapsModel& model_;
   const Tensor& test_x_;
@@ -212,7 +221,16 @@ class SweepEngine {
   std::vector<std::pair<std::string, std::unique_ptr<EvalSet>>> attacked_;
   std::vector<std::pair<std::string, capsnet::OpKind>> site_stage_keys_;
   std::vector<int> site_stage_vals_;                ///< Parallel to keys: first stage.
-  SweepEngineStats stats_;
+
+  /// Slots of `counts_`, in the order of the name table in sweep_engine.cpp.
+  enum Count : std::size_t {
+    kEvaluations, kCacheHits, kStagesSkipped, kStagesRun, kStagesTotal,
+    kInputSets, kInputCacheHits, kInputEvictions, kCounts
+  };
+  static const obs::CounterTable<SweepEngineStats, kCounts> kCountTable;
+  std::array<obs::Counter, kCounts> counts_;  ///< Children of sweep_*_total.
+  std::int64_t input_cache_bytes_ = 0;
+  int threads_ = 1;
 };
 
 }  // namespace redcane::core

@@ -25,6 +25,14 @@ bool read_be32(std::FILE* f, std::uint32_t& out) {
   return true;
 }
 
+/// Bytes from the read position to the end of the file (0 if unknown).
+std::uint64_t bytes_left(std::FILE* f) {
+  const long at = std::ftell(f);
+  if (at < 0 || std::fseek(f, 0, SEEK_END) != 0) return 0;
+  const long end = std::ftell(f);
+  return std::fseek(f, at, SEEK_SET) == 0 && end >= at ? static_cast<std::uint64_t>(end - at) : 0;
+}
+
 /// Center-crops (hw < src) or zero-pads (hw > src) one [src, src] image
 /// into a [hw, hw] image.
 void fit_image(const float* src_px, std::int64_t src, std::int64_t hw, float* dst) {
@@ -50,9 +58,12 @@ bool load_idx_images(const std::string& path, Tensor& out, std::int64_t limit) {
   std::uint32_t w = 0;
   if (!read_be32(f.get(), magic) || magic != 0x803U) return false;
   if (!read_be32(f.get(), n) || !read_be32(f.get(), h) || !read_be32(f.get(), w)) return false;
+  if (n == 0 || h == 0 || w == 0) return false;
   std::int64_t count = static_cast<std::int64_t>(n);
   if (limit >= 0) count = std::min<std::int64_t>(count, limit);
   const std::size_t px = static_cast<std::size_t>(h) * w;
+  // Allocate nothing the payload cannot fill (hostile headers).
+  if (count > 0 && px > bytes_left(f.get()) / static_cast<std::uint64_t>(count)) return false;
   std::vector<std::uint8_t> row(px);
   Tensor t(Shape{count, static_cast<std::int64_t>(h), static_cast<std::int64_t>(w), 1});
   auto td = t.data();
@@ -72,9 +83,10 @@ bool load_idx_labels(const std::string& path, std::vector<std::int64_t>& out,
   std::uint32_t magic = 0;
   std::uint32_t n = 0;
   if (!read_be32(f.get(), magic) || magic != 0x801U) return false;
-  if (!read_be32(f.get(), n)) return false;
+  if (!read_be32(f.get(), n) || n == 0) return false;
   std::int64_t count = static_cast<std::int64_t>(n);
   if (limit >= 0) count = std::min<std::int64_t>(count, limit);
+  if (static_cast<std::uint64_t>(count) > bytes_left(f.get())) return false;
   std::vector<std::uint8_t> raw(static_cast<std::size_t>(count));
   if (std::fread(raw.data(), 1, raw.size(), f.get()) != raw.size()) return false;
   out.assign(raw.begin(), raw.end());

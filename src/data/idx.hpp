@@ -20,11 +20,14 @@ namespace redcane::data {
 /// Reads an IDX3 image file (magic 0x00000803, dims [N, H, W], u8 pixels)
 /// into [N, H, W, 1] floats in [0, 1]. `limit` >= 0 caps the image count.
 /// Returns false (leaving `out` untouched) on open failure, a wrong magic,
-/// or a truncated payload.
+/// a zero dimension, or a payload shorter than the images to read — the
+/// size check runs before anything is allocated, so a hostile header
+/// cannot trigger a huge allocation.
 [[nodiscard]] bool load_idx_images(const std::string& path, Tensor& out,
                                    std::int64_t limit = -1);
 
-/// Reads an IDX1 label file (magic 0x00000801, dims [N], u8 labels).
+/// Reads an IDX1 label file (magic 0x00000801, dims [N], u8 labels), with
+/// the same rejections as load_idx_images.
 [[nodiscard]] bool load_idx_labels(const std::string& path, std::vector<std::int64_t>& out,
                                    std::int64_t limit = -1);
 

@@ -1,5 +1,6 @@
 #include "dist/coordinator.hpp"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -25,52 +26,37 @@ std::int64_t now_us() {
 
 enum class Abandon { kSteal, kLost, kCancel };
 
-/// Mirrors a finished run's DistStats into the process-wide metrics
-/// registry (dist runs once per process, so a flush at the end is
-/// equivalent to live mirroring) and registers the conservation laws as
-/// registry-level checks over the mirrored counters.
-void flush_stats_to_registry(const DistStats& s) {
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter("dist_shards_total").add(s.shards_total);
-  reg.counter("dist_journal_resumed_total").add(s.journal_resumed);
-  reg.counter("dist_assigned_total").add(s.assigned);
-  reg.counter("dist_result_ok_total").add(s.result_ok);
-  reg.counter("dist_result_dup_total").add(s.result_dup);
-  reg.counter("dist_late_results_total").add(s.late_results);
-  reg.counter("dist_results_accepted_total").add(s.results_accepted);
-  reg.counter("dist_stolen_total").add(s.stolen);
-  reg.counter("dist_lost_total").add(s.lost);
-  reg.counter("dist_cancelled_total").add(s.cancelled);
-  reg.counter("dist_requeues_total").add(s.requeues);
-  reg.counter("dist_failed_permanent_total").add(s.failed_permanent);
-  reg.counter("dist_dropped_completed_total").add(s.dropped_completed);
-  reg.counter("dist_local_completed_total").add(s.local_completed);
-  reg.counter("dist_workers_seen_total").add(s.workers_seen);
-  reg.counter("dist_workers_refused_total").add(s.workers_refused);
-  reg.counter("dist_corrupt_frames_total").add(s.corrupt_frames);
-  reg.counter("dist_heartbeats_total").add(s.heartbeats);
-  reg.counter("dist_rtt_samples_total").add(s.rtt_samples);
-  reg.counter("dist_rtt_sum_us_total").add(s.rtt_sum_us);
-  reg.add_check("dist_assignment_conservation", [](const obs::Snapshot& snap) {
-    return snap.counter("dist_assigned_total") ==
-           snap.counter("dist_result_ok_total") +
-               snap.counter("dist_result_dup_total") +
-               snap.counter("dist_stolen_total") +
-               snap.counter("dist_lost_total") +
-               snap.counter("dist_cancelled_total");
-  });
-  reg.add_check("dist_abandon_conservation", [](const obs::Snapshot& snap) {
-    return snap.counter("dist_stolen_total") + snap.counter("dist_lost_total") ==
-           snap.counter("dist_requeues_total") +
-               snap.counter("dist_failed_permanent_total") +
-               snap.counter("dist_dropped_completed_total");
-  });
-  reg.add_check("dist_results_conservation", [](const obs::Snapshot& snap) {
-    return snap.counter("dist_results_accepted_total") ==
-           snap.counter("dist_result_ok_total") +
-               snap.counter("dist_late_results_total");
-  });
-}
+/// Slots of Impl::counts, in the order of kCountTable.
+enum Count : std::size_t {
+  kShardsTotal, kJournalResumed, kAssigned, kResultOk, kResultDup, kLateResults,
+  kResultsAccepted, kStolen, kLost, kCancelled, kRequeues, kFailedPermanent,
+  kDroppedCompleted, kLocalCompleted, kWorkersSeen, kWorkersRefused, kCorruptFrames,
+  kHeartbeats, kRttSamples, kRttSumUs, kCounts
+};
+
+/// Each DistStats counter by registry name.
+const obs::CounterTable<DistStats, kCounts> kCountTable{{
+    {"dist_shards_total", &DistStats::shards_total},
+    {"dist_journal_resumed_total", &DistStats::journal_resumed},
+    {"dist_assigned_total", &DistStats::assigned},
+    {"dist_result_ok_total", &DistStats::result_ok},
+    {"dist_result_dup_total", &DistStats::result_dup},
+    {"dist_late_results_total", &DistStats::late_results},
+    {"dist_results_accepted_total", &DistStats::results_accepted},
+    {"dist_stolen_total", &DistStats::stolen},
+    {"dist_lost_total", &DistStats::lost},
+    {"dist_cancelled_total", &DistStats::cancelled},
+    {"dist_requeues_total", &DistStats::requeues},
+    {"dist_failed_permanent_total", &DistStats::failed_permanent},
+    {"dist_dropped_completed_total", &DistStats::dropped_completed},
+    {"dist_local_completed_total", &DistStats::local_completed},
+    {"dist_workers_seen_total", &DistStats::workers_seen},
+    {"dist_workers_refused_total", &DistStats::workers_refused},
+    {"dist_corrupt_frames_total", &DistStats::corrupt_frames},
+    {"dist_heartbeats_total", &DistStats::heartbeats},
+    {"dist_rtt_samples_total", &DistStats::rtt_samples},
+    {"dist_rtt_sum_us_total", &DistStats::rtt_sum_us},
+}};
 
 }  // namespace
 
@@ -120,7 +106,11 @@ struct Coordinator::Impl {
   std::int64_t completed_count = 0;
   std::int64_t failed_count = 0;
   std::vector<std::unique_ptr<WorkerConn>> conns;
-  DistStats stats;
+  /// Children of the dist_*_total registry counters, updated under `mu`.
+  std::array<obs::Counter, kCounts> counts = obs::counters(kCountTable);
+  bool degraded = false;        ///< Local fallback engaged.
+  std::int64_t rtt_min_us = 0;  ///< 0 until the first sample.
+  std::int64_t rtt_max_us = 0;
   Journal journal;
   bool journal_ok = false;
   bool crashed = false;  ///< Simulated coordinator crash (coord_crash fault).
@@ -130,9 +120,10 @@ struct Coordinator::Impl {
 
   // ---- shard bookkeeping (all callers hold mu) -----------------------
 
-  /// Registry mirror of the RTT samples (stable reference; the registry
-  /// leaks its instruments). Resolved once, off the heartbeat path.
+  /// Registry histograms (stable references; the registry leaks its
+  /// instruments), resolved once, off the heartbeat and result paths.
   obs::Histogram& rtt_hist = obs::Registry::instance().histogram("dist_rtt_us");
+  obs::Histogram& exec_hist = obs::Registry::instance().histogram("dist_shard_exec_us");
 
   /// Folds one worker-measured heartbeat RTT into the run aggregates.
   /// 0 means "no measurement yet" (the worker has not seen an ack).
@@ -140,10 +131,10 @@ struct Coordinator::Impl {
     if (rtt_us == 0) return;
     rtt_hist.observe(static_cast<double>(rtt_us));
     const auto r = static_cast<std::int64_t>(rtt_us);
-    ++stats.rtt_samples;
-    stats.rtt_sum_us += r;
-    if (stats.rtt_min_us == 0 || r < stats.rtt_min_us) stats.rtt_min_us = r;
-    if (r > stats.rtt_max_us) stats.rtt_max_us = r;
+    counts[kRttSamples].add();
+    counts[kRttSumUs].add(r);
+    if (rtt_min_us == 0 || r < rtt_min_us) rtt_min_us = r;
+    if (r > rtt_max_us) rtt_max_us = r;
   }
 
   /// Picks the next shard for `w`: among eligible queued shards, prefer
@@ -173,12 +164,12 @@ struct Coordinator::Impl {
     w->current = -1;
     s.assigned_worker = -1;
     switch (why) {
-      case Abandon::kSteal: ++stats.stolen; break;
-      case Abandon::kLost: ++stats.lost; break;
-      case Abandon::kCancel: ++stats.cancelled; return;  // No requeue at shutdown.
+      case Abandon::kSteal: counts[kStolen].add(); break;
+      case Abandon::kLost: counts[kLost].add(); break;
+      case Abandon::kCancel: counts[kCancelled].add(); return;  // No requeue at shutdown.
     }
     if (s.completed) {
-      ++stats.dropped_completed;
+      counts[kDroppedCompleted].add();
       return;
     }
     ++s.failures;
@@ -186,11 +177,11 @@ struct Coordinator::Impl {
       s.failed = true;
       s.queued = false;
       ++failed_count;
-      ++stats.failed_permanent;
+      counts[kFailedPermanent].add();
     } else {
       s.queued = true;
       s.eligible_at_us = now_us() + cfg.backoff.delay_us(shard_id, s.failures);
-      ++stats.requeues;
+      counts[kRequeues].add();
     }
   }
 
@@ -236,7 +227,7 @@ struct Coordinator::Impl {
       if (st != FrameStatus::kOk || type != MsgType::kHello ||
           !decode_hello(r, &hello)) {
         std::lock_guard<std::mutex> lock(mu);
-        ++stats.workers_refused;
+        counts[kWorkersRefused].add();
         return;
       }
       HelloAckMsg ack;
@@ -247,20 +238,20 @@ struct Coordinator::Impl {
           ack.reason = "protocol version mismatch";
         } else if (hello.job_hash != cfg.job_hash) {
           ack.reason = "job hash mismatch (different weights or grid)";
-        } else if (stats.degraded || stop.load(std::memory_order_acquire)) {
+        } else if (degraded || stop.load(std::memory_order_acquire)) {
           ack.reason = "coordinator is shutting down or degraded";
         } else {
           ack.accepted = true;
           w->name = hello.name;
           w->alive = true;
           w->last_seen_us = now_us();
-          ++stats.workers_seen;
+          counts[kWorkersSeen].add();
           // Remote spans synthesized from this worker's Result frames land
           // on pid = worker id + 1 (pid 0 is the coordinator process).
           obs::trace_set_process_name(static_cast<std::uint32_t>(w->id + 1),
                                       "worker:" + w->name);
         }
-        if (!ack.accepted) ++stats.workers_refused;
+        if (!ack.accepted) counts[kWorkersRefused].add();
       }
       WireWriter ww;
       encode_hello_ack(ww, ack);
@@ -289,7 +280,7 @@ struct Coordinator::Impl {
             w->current = idx;
             w->last_affinity = affinity[static_cast<std::size_t>(idx)];
             w->has_affinity = true;
-            ++stats.assigned;
+            counts[kAssigned].add();
             to_send.trace_id = s.trace_id;
             to_send.shard = shards[static_cast<std::size_t>(idx)];
             have_assign = true;
@@ -315,7 +306,7 @@ struct Coordinator::Impl {
       if (st != FrameStatus::kOk) {
         std::lock_guard<std::mutex> lock(mu);
         if (st == FrameStatus::kCorrupt || st == FrameStatus::kTooLarge)
-          ++stats.corrupt_frames;
+          counts[kCorruptFrames].add();
         abandon_active(w, Abandon::kLost);
         w->alive = false;
         // Dropping the connection must be visible to the worker, or a peer
@@ -335,7 +326,7 @@ struct Coordinator::Impl {
         WireReader r(payload.data(), payload.size());
         if (!decode_heartbeat(r, &hb)) {
           std::lock_guard<std::mutex> lock(mu);
-          ++stats.corrupt_frames;
+          counts[kCorruptFrames].add();
           abandon_active(w, Abandon::kLost);
           w->alive = false;
           w->sock.close_now();
@@ -343,7 +334,7 @@ struct Coordinator::Impl {
         }
         {
           std::lock_guard<std::mutex> lock(mu);
-          ++stats.heartbeats;
+          counts[kHeartbeats].add();
           record_rtt(hb.last_rtt_us);
         }
         // Echo the worker's send stamp so it can measure the round trip on
@@ -376,7 +367,7 @@ struct Coordinator::Impl {
       }
       if (!valid) {
         std::lock_guard<std::mutex> lock(mu);
-        ++stats.corrupt_frames;
+        counts[kCorruptFrames].add();
         abandon_active(w, Abandon::kLost);
         w->alive = false;
         w->sock.close_now();
@@ -403,8 +394,7 @@ struct Coordinator::Impl {
                                  msg.points_us, msg.trace_id);
         }
       }
-      obs::Registry::instance().histogram("dist_shard_exec_us")
-          .observe(static_cast<double>(msg.exec_us));
+      exec_hist.observe(static_cast<double>(msg.exec_us));
 
       std::lock_guard<std::mutex> lock(mu);
       record_rtt(msg.rtt_us);
@@ -413,7 +403,7 @@ struct Coordinator::Impl {
       if (state[idx].completed) {
         // Duplicate (another worker or the local drain got there first).
         if (was_active) {
-          ++stats.result_dup;
+          counts[kResultDup].add();
           w->current = -1;
           state[idx].assigned_worker = -1;
         }
@@ -423,13 +413,13 @@ struct Coordinator::Impl {
       // any re-run would produce, and accepting stragglers removes the
       // steal-just-before-finish livelock.
       if (was_active) {
-        ++stats.result_ok;
+        counts[kResultOk].add();
         w->current = -1;
         state[idx].assigned_worker = -1;
       } else {
-        ++stats.late_results;
+        counts[kLateResults].add();
       }
-      ++stats.results_accepted;
+      counts[kResultsAccepted].add();
       if (!record_completion(idx, std::move(outcome))) {
         // Simulated coordinator crash: a dead process sends no Shutdown
         // but its fds do close — workers must see the connection drop.
@@ -463,7 +453,7 @@ struct Coordinator::Impl {
   bool drain_locally() {
     {
       std::lock_guard<std::mutex> lock(mu);
-      stats.degraded = true;
+      degraded = true;
     }
     while (true) {
       core::SweepShard shard;
@@ -484,7 +474,7 @@ struct Coordinator::Impl {
       core::ShardOutcome outcome = local(shard);
       std::lock_guard<std::mutex> lock(mu);
       if (!state[idx].completed) {
-        ++stats.local_completed;
+        counts[kLocalCompleted].add();
         if (!record_completion(idx, std::move(outcome))) return false;
       }
     }
@@ -532,7 +522,7 @@ struct Coordinator::Impl {
         s.queued = false;
         s.outcome = std::move(o);
         ++completed_count;
-        ++stats.journal_resumed;
+        counts[kJournalResumed].add();
       }
     }
 
@@ -573,9 +563,9 @@ struct Coordinator::Impl {
             abandon_active(w.get(), Abandon::kSteal);
           }
         }
-        const bool no_first_worker =
-            stats.workers_seen == 0 && now - start > cfg.worker_wait_ms * 1000;
-        const bool all_workers_lost = stats.workers_seen > 0 && live == 0;
+        const std::int64_t seen = counts[kWorkersSeen].value();
+        const bool no_first_worker = seen == 0 && now - start > cfg.worker_wait_ms * 1000;
+        const bool all_workers_lost = seen > 0 && live == 0;
         const bool only_failed_left =
             failed_count > 0 && completed_count + failed_count == total;
         need_drain = no_first_worker || all_workers_lost || only_failed_left;
@@ -599,9 +589,11 @@ struct Coordinator::Impl {
     }
 
     std::lock_guard<std::mutex> lock(mu);
-    result.stats = stats;
-    result.stats.shards_total = static_cast<std::int64_t>(shards.size());
-    flush_stats_to_registry(result.stats);
+    counts[kShardsTotal].add(static_cast<std::int64_t>(shards.size()));
+    result.stats = obs::read(kCountTable, counts);
+    result.stats.degraded = degraded;
+    result.stats.rtt_min_us = rtt_min_us;
+    result.stats.rtt_max_us = rtt_max_us;
     result.journal = journal.stats();
     result.error = error;
     result.complete =
@@ -619,6 +611,18 @@ struct Coordinator::Impl {
 Coordinator::Coordinator(CoordinatorConfig cfg, std::vector<core::SweepShard> shards,
                          LocalExec local)
     : impl_(new Impl) {
+  // DistStats's laws over the process-wide totals (linear laws hold for
+  // sums over runs), evaluated at quiescent points.
+  obs::Registry& reg = obs::Registry::instance();
+  reg.add_check("dist_assignment_conservation", [](const obs::Snapshot& s) {
+    return obs::read(kCountTable, s).assignments_reconcile();
+  });
+  reg.add_check("dist_abandon_conservation", [](const obs::Snapshot& s) {
+    return obs::read(kCountTable, s).abandons_reconcile();
+  });
+  reg.add_check("dist_results_conservation", [](const obs::Snapshot& s) {
+    return obs::read(kCountTable, s).results_reconcile();
+  });
   impl_->cfg = std::move(cfg);
   impl_->shards = std::move(shards);
   impl_->local = std::move(local);

@@ -64,15 +64,9 @@ struct CoordinatorConfig {
 /// coordinator's run() thread.
 using LocalExec = std::function<core::ShardOutcome(const core::SweepShard&)>;
 
-/// Conservation-law counters of one coordinator run.
-///
-/// Assignment terminals (each assignment gets exactly one):
-///   assigned == result_ok + result_dup + stolen + lost + cancelled
-/// Abandonment routing (each steal/loss goes exactly one way):
-///   stolen + lost == requeues + failed_permanent + dropped_completed
-/// Accepted results by provenance:
-///   results_accepted == result_ok + late_results
-/// Shard completion sources, on a complete run:
+/// Conservation-law counters of one coordinator run, a view of the
+/// coordinator's instruments (children of the `dist_*_total` registry
+/// counters). Besides the three laws below, on a complete run:
 ///   journal_resumed + results_accepted + local_completed == shards_total
 struct DistStats {
   std::int64_t shards_total = 0;
@@ -103,11 +97,21 @@ struct DistStats {
   std::int64_t rtt_max_us = 0;
   std::int64_t rtt_sum_us = 0;  ///< Mean = rtt_sum_us / rtt_samples.
 
-  /// True when every conservation law above holds.
+  /// Assignment terminals (each assignment gets exactly one).
+  [[nodiscard]] bool assignments_reconcile() const {
+    return assigned == result_ok + result_dup + stolen + lost + cancelled;
+  }
+  /// Abandonment routing (each steal/loss goes exactly one way).
+  [[nodiscard]] bool abandons_reconcile() const {
+    return stolen + lost == requeues + failed_permanent + dropped_completed;
+  }
+  /// Accepted results by provenance.
+  [[nodiscard]] bool results_reconcile() const {
+    return results_accepted == result_ok + late_results;
+  }
+  /// True when the three laws above hold.
   [[nodiscard]] bool reconciles() const {
-    return assigned == result_ok + result_dup + stolen + lost + cancelled &&
-           stolen + lost == requeues + failed_permanent + dropped_completed &&
-           results_accepted == result_ok + late_results;
+    return assignments_reconcile() && abandons_reconcile() && results_reconcile();
   }
 };
 

@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/crc32.hpp"
 
@@ -111,9 +113,17 @@ bool decode_attack_spec(WireReader& r, attack::AttackSpec* s) {
             r.f64(&s->margin.m_minus) && r.f64(&s->margin.lambda);
   if (!ok) return false;
   if (kind > static_cast<std::uint8_t>(attack::AttackKind::kScale)) return false;
+  // parse_attack_spec's value ranges, plus the identity values plans put on
+  // the wire (eps 0, angle 0, factor 1, step 0 = the default step rule).
+  for (double v : {s->epsilon, s->step_size, s->severity, s->clip_min, s->clip_max,
+                   s->margin.m_plus, s->margin.m_minus, s->margin.lambda}) {
+    if (!std::isfinite(v)) return false;
+  }
   s->kind = static_cast<attack::AttackKind>(kind);
   s->steps = static_cast<int>(steps);
-  return true;
+  return steps >= 1 && steps <= static_cast<std::uint32_t>(std::numeric_limits<int>::max()) &&
+         s->epsilon >= 0.0 && s->step_size >= 0.0 && s->clip_min <= s->clip_max &&
+         (s->kind != attack::AttackKind::kScale || s->severity > 0.0);
 }
 
 namespace {

@@ -24,14 +24,6 @@ RegistryState& state() {
   return *s;
 }
 
-void atomic_double_add(std::atomic<double>& a, double delta) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + delta,
-                                  std::memory_order_relaxed,
-                                  std::memory_order_relaxed)) {
-  }
-}
-
 void atomic_double_max(std::atomic<double>& a, double v) noexcept {
   double cur = a.load(std::memory_order_relaxed);
   while (cur < v && !a.compare_exchange_weak(cur, v,
@@ -69,8 +61,9 @@ void Histogram::observe(double v) noexcept {
   buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_double_add(sum_, v);
+  sum_.fetch_add(v, std::memory_order_relaxed);
   atomic_double_max(max_, v);
+  if (parent_ != nullptr) parent_->observe(v);
 }
 
 double Histogram::percentile(double p) const noexcept {
@@ -102,43 +95,39 @@ Registry& Registry::instance() {
   return r;
 }
 
-Counter& Registry::counter(const std::string& name) {
+namespace {
+
+/// The `T` registered under `name` in `own`, created on first use. A name
+/// already registered as another kind aborts (programmer error).
+template <typename T>
+T& find_or_create(std::map<std::string, std::unique_ptr<T>>& own, const std::string& name) {
   RegistryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.gauges.count(name) != 0 || s.histograms.count(name) != 0) {
-    std::fprintf(stderr, "obs: metric '%s' registered as two kinds\n",
-                 name.c_str());
+  const std::size_t elsewhere = s.counters.count(name) + s.gauges.count(name) +
+                                s.histograms.count(name) - own.count(name);
+  if (elsewhere != 0) {
+    std::fprintf(stderr, "obs: metric '%s' registered as two kinds\n", name.c_str());
     std::abort();
   }
-  std::unique_ptr<Counter>& slot = s.counters[name];
-  if (!slot) slot = std::make_unique<Counter>();
+  std::unique_ptr<T>& slot = own[name];
+  if (!slot) slot = std::make_unique<T>();
   return *slot;
+}
+
+}  // namespace
+
+Counter& Registry::counter(const std::string& name) {
+  const std::lock_guard<std::mutex> lock(state().mu);
+  return find_or_create(state().counters, name);
 }
 
 Gauge& Registry::gauge(const std::string& name) {
-  RegistryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.counters.count(name) != 0 || s.histograms.count(name) != 0) {
-    std::fprintf(stderr, "obs: metric '%s' registered as two kinds\n",
-                 name.c_str());
-    std::abort();
-  }
-  std::unique_ptr<Gauge>& slot = s.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  const std::lock_guard<std::mutex> lock(state().mu);
+  return find_or_create(state().gauges, name);
 }
 
 Histogram& Registry::histogram(const std::string& name) {
-  RegistryState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.counters.count(name) != 0 || s.gauges.count(name) != 0) {
-    std::fprintf(stderr, "obs: metric '%s' registered as two kinds\n",
-                 name.c_str());
-    std::abort();
-  }
-  std::unique_ptr<Histogram>& slot = s.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  const std::lock_guard<std::mutex> lock(state().mu);
+  return find_or_create(state().histograms, name);
 }
 
 void Registry::add_check(const std::string& name,
@@ -155,14 +144,8 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, c] : s.counters) snap.counters[name] = c->value();
   for (const auto& [name, g] : s.gauges) snap.gauges[name] = g->value();
   for (const auto& [name, h] : s.histograms) {
-    Snapshot::HistogramSummary hs;
-    hs.count = h->count();
-    hs.sum = h->sum();
-    hs.max = h->max();
-    hs.p50 = h->percentile(50.0);
-    hs.p99 = h->percentile(99.0);
-    hs.p999 = h->percentile(99.9);
-    snap.histograms[name] = hs;
+    snap.histograms[name] = {h->count(), h->sum(), h->max(), h->percentile(50.0),
+                             h->percentile(99.0), h->percentile(99.9)};
   }
   return snap;
 }
@@ -194,20 +177,15 @@ std::string Registry::exposition() const {
     std::snprintf(line, sizeof line, "%s_count %lld\n", name.c_str(),
                   static_cast<long long>(h.count));
     out += line;
-    std::snprintf(line, sizeof line, "%s_sum %.6g\n", name.c_str(), h.sum);
-    out += line;
-    std::snprintf(line, sizeof line, "%s{q=\"p50\"} %.6g\n", name.c_str(),
-                  h.p50);
-    out += line;
-    std::snprintf(line, sizeof line, "%s{q=\"p99\"} %.6g\n", name.c_str(),
-                  h.p99);
-    out += line;
-    std::snprintf(line, sizeof line, "%s{q=\"p99.9\"} %.6g\n", name.c_str(),
-                  h.p999);
-    out += line;
-    std::snprintf(line, sizeof line, "%s{q=\"max\"} %.6g\n", name.c_str(),
-                  h.max);
-    out += line;
+    const std::pair<const char*, double> rows[] = {{"_sum", h.sum},
+                                                   {"{q=\"p50\"}", h.p50},
+                                                   {"{q=\"p99\"}", h.p99},
+                                                   {"{q=\"p99.9\"}", h.p999},
+                                                   {"{q=\"max\"}", h.max}};
+    for (const auto& [suffix, v] : rows) {
+      std::snprintf(line, sizeof line, "%s%s %.6g\n", name.c_str(), suffix, v);
+      out += line;
+    }
   }
   for (const CheckResult& c : run_checks()) {
     std::snprintf(line, sizeof line, "# check %s %s\n", c.name.c_str(),

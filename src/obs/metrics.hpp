@@ -3,41 +3,56 @@
 // quantization caches, and the dist coordinator/workers.
 //
 // Design contract (docs/architecture.md "Observability"):
-//  - Hot-path cost is one relaxed atomic RMW per increment. Callers
-//    resolve `Counter&`/`Histogram&` once (registration takes a mutex)
-//    and then touch only the atomic.
+//  - Hot-path cost is one relaxed atomic RMW per increment (two with a
+//    parent). Callers resolve `Counter&`/`Histogram&` once (registration
+//    takes a mutex) and then touch only the atomics.
 //  - Instances registered under a name are never deallocated for the
 //    process lifetime, so cached references stay valid across threads.
 //  - Metric names are `snake_case` with a subsystem prefix
 //    (`serve_`, `sweep_`, `lut_`, `dist_`) and a `_total` suffix for
 //    monotonic counters, mirroring Prometheus conventions. Labels are
 //    baked into the name at registration (`name{label="v"}`).
-//  - Conservation laws (`ServerStats::reconciles()` and friends) are
-//    registered as named checks and evaluated at quiescent points; they
-//    are assertions over a snapshot, never over live racing counters.
+//  - One store per count: an instance's counters are children of the
+//    registry counters of the same names, declared from one CounterTable,
+//    and its stats struct (`ServerStats` and friends) is a view of them.
+//  - Conservation laws live on those structs; a registered check applies
+//    the same law to the struct read back from a snapshot, at quiescent
+//    points, never over live racing counters.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace redcane::obs {
 
-/// Monotonic counter. `add` is a single relaxed fetch_add.
+/// Monotonic counter. `add` is a single relaxed fetch_add, repeated on
+/// the parent when there is one.
 class Counter {
  public:
+  Counter() = default;
+  /// A counter whose adds also land on `parent` (a registry counter, which
+  /// outlives every instance).
+  explicit Counter(Counter& parent) noexcept : parent_(&parent) {}
+
   void add(std::int64_t delta = 1) noexcept {
     v_.fetch_add(delta, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->add(delta);
   }
   [[nodiscard]] std::int64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
+  /// Zeroes this counter's own count; the parent's total keeps counting.
+  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> v_{0};
+  Counter* const parent_ = nullptr;
 };
 
 /// Last-write-wins gauge (queue depth, worker count, pressure flag).
@@ -67,6 +82,10 @@ class Histogram {
   static constexpr int kOctaves = 40;  ///< covers values up to 2^40.
   static constexpr int kBuckets = 1 + kOctaves * kSubBuckets;
 
+  Histogram() = default;
+  /// An instance histogram whose observations also land on `parent`.
+  explicit Histogram(Histogram& parent) noexcept : parent_(&parent) {}
+
   void observe(double v) noexcept;
 
   [[nodiscard]] std::int64_t count() const noexcept {
@@ -95,6 +114,7 @@ class Histogram {
   std::atomic<std::int64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> max_{0.0};
+  Histogram* const parent_ = nullptr;
 };
 
 /// One consistent read of every registered metric. Histograms are
@@ -156,6 +176,46 @@ class Registry {
  private:
   Registry() = default;
 };
+
+/// One row of a stats view: the registry name of a counter and the field
+/// of the value struct `S` that shows it (null: counted, not shown).
+template <typename S>
+struct CounterField {
+  const char* name;
+  std::int64_t S::*field;
+};
+
+template <typename S, std::size_t N>
+using CounterTable = std::array<CounterField<S>, N>;
+
+/// The counters of one instance, declared from `table`: counter `i` is the
+/// child of the registry counter `table[i].name`.
+template <typename S, std::size_t N>
+[[nodiscard]] std::array<Counter, N> counters(const CounterTable<S, N>& table) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<Counter, N>{Counter(Registry::instance().counter(table[I].name))...};
+  }(std::make_index_sequence<N>{});
+}
+
+/// `S` read through `table`: from an instance's own counters (its stats
+/// view), or from the process totals in a Snapshot (what a registered
+/// check applies the law of `S` to).
+template <typename S, std::size_t N>
+[[nodiscard]] S read(const CounterTable<S, N>& table, const std::array<Counter, N>& counters) {
+  S out;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (table[i].field != nullptr) out.*table[i].field = counters[i].value();
+  }
+  return out;
+}
+template <typename S, std::size_t N>
+[[nodiscard]] S read(const CounterTable<S, N>& table, const Snapshot& snap) {
+  S out;
+  for (const CounterField<S>& row : table) {
+    if (row.field != nullptr) out.*row.field = snap.counter(row.name);
+  }
+  return out;
+}
 
 /// Arms `REDCANE_METRICS=PATH`: when set, the registry's exposition is
 /// written to PATH at process exit. Called from the library's own static

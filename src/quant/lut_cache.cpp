@@ -23,13 +23,10 @@ using Key = std::tuple<const approx::Multiplier*, std::string, int>;
 struct Cache {
   std::mutex mu;
   std::map<Key, std::unique_ptr<gemm::lk::LutTables>> entries;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  // Process-wide mirrors (obs registry instruments are never reset, so the
-  // local counters stay the test-facing, resettable view).
-  obs::Counter& hits_mirror = obs::Registry::instance().counter("lut_cache_hits_total");
-  obs::Counter& misses_mirror =
-      obs::Registry::instance().counter("lut_cache_misses_total");
+  // The cache's own, resettable counts; each add also lands on the
+  // registry total of the same name, which is never reset.
+  obs::Counter hits{obs::Registry::instance().counter("lut_cache_hits_total")};
+  obs::Counter misses{obs::Registry::instance().counter("lut_cache_misses_total")};
 };
 
 Cache& cache() {
@@ -48,8 +45,7 @@ const gemm::lk::LutTables& lut_cache_get(const approx::Multiplier* mul, int bits
     const std::lock_guard<std::mutex> lock(c.mu);
     const auto it = c.entries.find(key);
     if (it != c.entries.end()) {
-      ++c.hits;
-      c.hits_mirror.add();
+      c.hits.add();
       return *it->second;
     }
   }
@@ -65,13 +61,7 @@ const gemm::lk::LutTables& lut_cache_get(const approx::Multiplier* mul, int bits
 
   const std::lock_guard<std::mutex> lock(c.mu);
   auto [it, inserted] = c.entries.try_emplace(std::move(key), std::move(built));
-  if (inserted) {
-    ++c.misses;
-    c.misses_mirror.add();
-  } else {
-    ++c.hits;
-    c.hits_mirror.add();
-  }
+  (inserted ? c.misses : c.hits).add();
   return *it->second;
 }
 
@@ -97,14 +87,16 @@ void lut_cache_clear() {
 LutCacheStats lut_cache_stats() {
   Cache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mu);
-  return LutCacheStats{c.hits, c.misses, static_cast<std::uint64_t>(c.entries.size())};
+  return LutCacheStats{static_cast<std::uint64_t>(c.hits.value()),
+                       static_cast<std::uint64_t>(c.misses.value()),
+                       static_cast<std::uint64_t>(c.entries.size())};
 }
 
 void lut_cache_reset_stats() {
   Cache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mu);
-  c.hits = 0;
-  c.misses = 0;
+  c.hits.reset();
+  c.misses.reset();
 }
 
 }  // namespace redcane::quant

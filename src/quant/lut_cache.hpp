@@ -55,7 +55,9 @@ void lut_cache_clear();
 
 [[nodiscard]] LutCacheStats lut_cache_stats();
 
-/// Zeroes the hit/miss counters (entry count is live state, not a counter).
+/// Zeroes the cache's own hit/miss counts (entry count is live state, not
+/// a counter). The process-wide lut_cache_*_total registry counters are
+/// not reset.
 void lut_cache_reset_stats();
 
 }  // namespace redcane::quant

@@ -30,7 +30,6 @@ void MicroBatcher::update_pressure_locked() {
   if (depth >= cfg_.high_watermark) {
     pressured_.store(true, std::memory_order_relaxed);
     if (!was) {
-      pressure_enters_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& enters =
           obs::Registry::instance().counter("serve_pressure_enter_total");
       enters.add();
@@ -38,7 +37,6 @@ void MicroBatcher::update_pressure_locked() {
   } else if (depth <= cfg_.low_watermark) {
     pressured_.store(false, std::memory_order_relaxed);
     if (was) {
-      pressure_exits_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter& exits =
           obs::Registry::instance().counter("serve_pressure_exit_total");
       exits.add();

@@ -101,18 +101,10 @@ class MicroBatcher {
   [[nodiscard]] std::size_t pending() const;
 
   /// Hysteresis queue-pressure flag (always false while max_queue == 0).
+  /// Its transitions are counted process-wide as the registry counters
+  /// serve_pressure_enter_total / serve_pressure_exit_total.
   [[nodiscard]] bool pressured() const {
     return pressured_.load(std::memory_order_relaxed);
-  }
-
-  /// Pressure-flag transitions since construction (also mirrored into
-  /// the registry as serve_pressure_enter/exit_total). enters - exits is
-  /// 1 while pressured, 0 otherwise.
-  [[nodiscard]] std::int64_t pressure_enters() const {
-    return pressure_enters_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t pressure_exits() const {
-    return pressure_exits_.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] const BatcherConfig& config() const { return cfg_; }
@@ -127,8 +119,6 @@ class MicroBatcher {
   std::condition_variable cv_;
   std::deque<QueuedRequest> queue_;
   std::atomic<bool> pressured_{false};
-  std::atomic<std::int64_t> pressure_enters_{0};
-  std::atomic<std::int64_t> pressure_exits_{0};
   bool closed_ = false;
 };
 

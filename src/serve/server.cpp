@@ -16,59 +16,18 @@
 #include "util/fault.hpp"
 
 namespace redcane::serve {
-namespace {
 
-// Process-wide mirrors of the per-instance ServerStats counters. The
-// conservation law holds for the registry totals too: every term is a
-// sum over server instances, and the law is linear. References are
-// resolved once; each increment after that is one relaxed fetch_add.
-struct ServeMetrics {
-  obs::Counter& submitted;
-  obs::Counter& requests;
-  obs::Counter& batches;
-  obs::Counter& rejected_invalid;
-  obs::Counter& rejected_queue_full;
-  obs::Counter& rejected_shutdown;
-  obs::Counter& shed_deadline;
-  obs::Counter& backend_failed;
-  obs::Counter& degraded;
-  obs::Histogram& latency_us;
-};
-
-ServeMetrics& metrics() {
-  static ServeMetrics* m = [] {
-    obs::Registry& reg = obs::Registry::instance();
-    auto* mm = new ServeMetrics{
-        reg.counter("serve_submitted_total"),
-        reg.counter("serve_requests_total"),
-        reg.counter("serve_batches_total"),
-        reg.counter("serve_rejected_invalid_total"),
-        reg.counter("serve_rejected_queue_full_total"),
-        reg.counter("serve_rejected_shutdown_total"),
-        reg.counter("serve_shed_deadline_total"),
-        reg.counter("serve_backend_failed_total"),
-        reg.counter("serve_degraded_total"),
-        reg.histogram("serve_latency_us"),
-    };
-    // ServerStats::reconciles(), restated over the process-wide totals.
-    // Evaluated at quiescent points (exposition, tests) — between a
-    // submit's `submitted` bump and its terminal accounting the law is
-    // transiently short, exactly as for the per-instance struct.
-    reg.add_check("serve_conservation", [](const obs::Snapshot& s) {
-      return s.counter("serve_submitted_total") ==
-             s.counter("serve_requests_total") +
-                 s.counter("serve_rejected_invalid_total") +
-                 s.counter("serve_rejected_queue_full_total") +
-                 s.counter("serve_rejected_shutdown_total") +
-                 s.counter("serve_shed_deadline_total") +
-                 s.counter("serve_backend_failed_total");
-    });
-    return mm;
-  }();
-  return *m;
-}
-
-}  // namespace
+const obs::CounterTable<ServerStats, InferenceServer::kCounts> InferenceServer::kCountTable{{
+    {"serve_submitted_total", &ServerStats::submitted},
+    {"serve_requests_total", &ServerStats::requests},
+    {"serve_batches_total", &ServerStats::batches},
+    {"serve_rejected_invalid_total", &ServerStats::rejected_invalid},
+    {"serve_rejected_queue_full_total", &ServerStats::rejected_queue_full},
+    {"serve_rejected_shutdown_total", &ServerStats::rejected_shutdown},
+    {"serve_shed_deadline_total", &ServerStats::shed_deadline},
+    {"serve_backend_failed_total", &ServerStats::backend_failed},
+    {"serve_degraded_total", &ServerStats::degraded},
+}};
 
 int InferenceServer::resolve_workers(int requested) {
   if (requested > 0) return requested;
@@ -84,8 +43,15 @@ InferenceServer::InferenceServer(ModelRegistry& registry, ServerConfig cfg)
     : registry_(registry),
       cfg_(cfg),
       batcher_(BatcherConfig{cfg.max_batch, cfg.max_delay_us, cfg.max_queue,
-                             /*high_watermark=*/0, /*low_watermark=*/0}) {
-  stats_.workers = resolve_workers(cfg_.workers);
+                             /*high_watermark=*/0, /*low_watermark=*/0}),
+      workers_(resolve_workers(cfg.workers)),
+      counts_(obs::counters(kCountTable)),
+      latency_hist_(obs::Registry::instance().histogram("serve_latency_us")) {
+  // The ServerStats law over the process-wide totals (a linear law holds
+  // for sums over instances), evaluated at quiescent points.
+  obs::Registry::instance().add_check("serve_conservation", [](const obs::Snapshot& s) {
+    return obs::read(kCountTable, s).reconciles();
+  });
 }
 
 InferenceServer::~InferenceServer() { shutdown(); }
@@ -95,35 +61,22 @@ bool InferenceServer::pressured() const {
   return batcher_.pressured();
 }
 
-std::future<ServeResult> InferenceServer::reject(QueuedRequest&& r,
-                                                 ServeErrorCode code,
-                                                 std::string detail) {
+void InferenceServer::resolve_error(QueuedRequest& r, ServeErrorCode code,
+                                    std::string detail) {
   ServeResult res;
   res.error = {code, std::move(detail)};
   res.prediction.request_id = r.id;
   res.prediction.variant = r.requested_variant;
-  std::future<ServeResult> fut = r.done.get_future();
   r.done.set_value(std::move(res));
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    switch (code) {
-      case ServeErrorCode::kUnknownVariant:
-      case ServeErrorCode::kBadShape:
-        ++stats_.rejected_invalid;
-        metrics().rejected_invalid.add();
-        break;
-      case ServeErrorCode::kShutdown:
-        ++stats_.rejected_shutdown;
-        metrics().rejected_shutdown.add();
-        break;
-      case ServeErrorCode::kQueueFull:
-        ++stats_.rejected_queue_full;
-        metrics().rejected_queue_full.add();
-        break;
-      default: break;
-    }
+  switch (code) {
+    case ServeErrorCode::kUnknownVariant:
+    case ServeErrorCode::kBadShape: counts_[kRejectedInvalid].add(); break;
+    case ServeErrorCode::kShutdown: counts_[kRejectedShutdown].add(); break;
+    case ServeErrorCode::kQueueFull: counts_[kRejectedQueueFull].add(); break;
+    case ServeErrorCode::kDeadlineExceeded: counts_[kShedDeadline].add(); break;
+    case ServeErrorCode::kBackendFailure: counts_[kBackendFailed].add(); break;
+    default: break;
   }
-  return fut;
 }
 
 std::future<ServeResult> InferenceServer::submit(const Tensor& sample,
@@ -132,18 +85,15 @@ std::future<ServeResult> InferenceServer::submit(const Tensor& sample,
   r.requested_variant = variant;
   r.variant = variant;
   r.enqueued = ServeClock::now();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.submitted;
-    r.id = next_id_++;
-  }
-  metrics().submitted.add();
+  r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  counts_[kSubmitted].add();
   // Request ids start at 0 but correlation id 0 means "untagged".
   OBS_SPAN_ID("serve/submit", r.id + 1);
+  std::future<ServeResult> fut = r.done.get_future();
 
   if (!registry_.has_variant(variant)) {
-    return reject(std::move(r), ServeErrorCode::kUnknownVariant,
-                  "no variant '" + variant + "' in the registry");
+    resolve_error(r, ServeErrorCode::kUnknownVariant, "no variant '" + variant + "' in the registry");
+    return fut;
   }
   const Shape in = registry_.input_shape();
   const Shape row{1, in.dim(0), in.dim(1), in.dim(2)};
@@ -152,9 +102,10 @@ std::future<ServeResult> InferenceServer::submit(const Tensor& sample,
   } else if (sample.shape().rank() == 3 && sample.numel() == row.numel()) {
     r.x = sample.reshaped(row);
   } else {
-    return reject(std::move(r), ServeErrorCode::kBadShape,
-                  "sample shape " + sample.shape().to_string() +
-                      " does not fit input " + in.to_string());
+    resolve_error(r, ServeErrorCode::kBadShape,
+                  "sample shape " + sample.shape().to_string() + " does not fit input " +
+                      in.to_string());
+    return fut;
   }
 
   if (cfg_.deadline_us > 0) {
@@ -172,46 +123,29 @@ std::future<ServeResult> InferenceServer::submit(const Tensor& sample,
   }
 
   if (fault::armed() && fault::plan()->queue_full()) {
-    return reject(std::move(r), ServeErrorCode::kQueueFull,
-                  "injected queue-pressure fault");
+    resolve_error(r, ServeErrorCode::kQueueFull, "injected queue-pressure fault");
+    return fut;
   }
 
-  std::future<ServeResult> fut = r.done.get_future();
+  // On kClosed/kFull the batcher left `r` (and its promise) untouched:
+  // resolve it with the typed error instead of the seed runtime's abort.
   switch (batcher_.push(r)) {
-    case PushStatus::kAccepted: return fut;
-    case PushStatus::kClosed: {
-      // The batcher left `r` (and its promise) untouched: resolve it with
-      // the typed shutdown error instead of the seed runtime's abort.
-      ServeResult res;
-      res.error = {ServeErrorCode::kShutdown, "submit after shutdown"};
-      res.prediction.request_id = r.id;
-      res.prediction.variant = r.requested_variant;
-      r.done.set_value(std::move(res));
-      metrics().rejected_shutdown.add();
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_shutdown;
-      return fut;
-    }
-    case PushStatus::kFull: {
-      ServeResult res;
-      res.error = {ServeErrorCode::kQueueFull,
-                   "queue at max_queue=" + std::to_string(cfg_.max_queue)};
-      res.prediction.request_id = r.id;
-      res.prediction.variant = r.requested_variant;
-      r.done.set_value(std::move(res));
-      metrics().rejected_queue_full.add();
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_queue_full;
-      return fut;
-    }
+    case PushStatus::kAccepted: break;
+    case PushStatus::kClosed:
+      resolve_error(r, ServeErrorCode::kShutdown, "submit after shutdown");
+      break;
+    case PushStatus::kFull:
+      resolve_error(r, ServeErrorCode::kQueueFull,
+                    "queue at max_queue=" + std::to_string(cfg_.max_queue));
+      break;
   }
-  return fut;  // Unreachable.
+  return fut;
 }
 
 void InferenceServer::start() {
   if (started_ || stopped_) return;
   started_ = true;
-  const int workers = stats_.workers;
+  const int workers = workers_;
   obs::Registry::instance().gauge("serve_workers").set(workers);
   pool_.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -260,19 +194,11 @@ void InferenceServer::worker_loop() {
 }
 
 void InferenceServer::resolve_expired(std::vector<QueuedRequest>& expired) {
-  if (expired.empty()) return;
   for (QueuedRequest& r : expired) {
-    ServeResult res;
-    res.error = {ServeErrorCode::kDeadlineExceeded,
-                 "deadline of " + std::to_string(cfg_.deadline_us) +
-                     " us passed before a batch slot opened"};
-    res.prediction.request_id = r.id;
-    res.prediction.variant = r.requested_variant;
-    r.done.set_value(std::move(res));
+    resolve_error(r, ServeErrorCode::kDeadlineExceeded,
+                  "deadline of " + std::to_string(cfg_.deadline_us) +
+                      " us passed before a batch slot opened");
   }
-  metrics().shed_deadline.add(static_cast<std::int64_t>(expired.size()));
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.shed_deadline += static_cast<std::int64_t>(expired.size());
 }
 
 void InferenceServer::process_batch(std::vector<QueuedRequest>& batch) {
@@ -302,17 +228,7 @@ void InferenceServer::process_batch(std::vector<QueuedRequest>& batch) {
   if (!run.ok) {
     // Typed failure for every rider of the batch; the process (and every
     // other in-flight batch) keeps serving.
-    for (std::int64_t i = 0; i < n; ++i) {
-      QueuedRequest& r = batch[static_cast<std::size_t>(i)];
-      ServeResult res;
-      res.error = {ServeErrorCode::kBackendFailure, run.error};
-      res.prediction.request_id = r.id;
-      res.prediction.variant = r.requested_variant;
-      r.done.set_value(std::move(res));
-    }
-    metrics().backend_failed.add(n);
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.backend_failed += n;
+    for (QueuedRequest& r : batch) resolve_error(r, ServeErrorCode::kBackendFailure, run.error);
     return;
   }
 
@@ -337,7 +253,6 @@ void InferenceServer::process_batch(std::vector<QueuedRequest>& batch) {
     p.latency_us =
         std::chrono::duration<double, std::micro>(done - r.enqueued).count();
     latency_hist_.observe(p.latency_us);
-    metrics().latency_us.observe(p.latency_us);
     if (r.degraded) {
       ++degraded;
       res.error = {ServeErrorCode::kDegradedServed,
@@ -346,30 +261,18 @@ void InferenceServer::process_batch(std::vector<QueuedRequest>& batch) {
     r.done.set_value(std::move(res));
   }
 
-  metrics().requests.add(n);
-  metrics().degraded.add(degraded);
-  metrics().batches.add();
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.requests += n;
-  stats_.degraded += degraded;
-  ++stats_.batches;
+  counts_[kRequests].add(n);
+  counts_[kDegraded].add(degraded);
+  counts_[kBatches].add();
 }
 
 ServerStats InferenceServer::stats() const {
-  ServerStats out;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  out.latency.count = latency_hist_.count();
-  out.latency.mean_us =
-      out.latency.count == 0
-          ? 0.0
-          : latency_hist_.sum() / static_cast<double>(out.latency.count);
-  out.latency.p50_us = latency_hist_.percentile(50.0);
-  out.latency.p99_us = latency_hist_.percentile(99.0);
-  out.latency.p999_us = latency_hist_.percentile(99.9);
-  out.latency.max_us = latency_hist_.max();
+  ServerStats out = obs::read(kCountTable, counts_);
+  out.workers = workers_;
+  const std::int64_t n = latency_hist_.count();
+  out.latency = {n, n == 0 ? 0.0 : latency_hist_.sum() / static_cast<double>(n),
+                 latency_hist_.percentile(50.0), latency_hist_.percentile(99.0),
+                 latency_hist_.percentile(99.9), latency_hist_.max()};
   return out;
 }
 

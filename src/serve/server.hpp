@@ -36,10 +36,11 @@
 // once workers exist — the identity tests use this to pin batch layout.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,10 +79,10 @@ struct LatencySummary {
   double max_us = 0.0;
 };
 
-/// Aggregate counters of one server lifetime. Conservation law (asserted
-/// by tests/test_chaos.cpp): submitted == requests + rejected_invalid +
-/// rejected_queue_full + rejected_shutdown + shed_deadline +
-/// backend_failed.
+/// Aggregate counters of one server lifetime, a view of the server's
+/// instruments. Conservation law (asserted by tests/test_chaos.cpp):
+/// submitted == requests + rejected_invalid + rejected_queue_full +
+/// rejected_shutdown + shed_deadline + backend_failed.
 struct ServerStats {
   std::int64_t submitted = 0;  ///< submit() calls, accepted or not.
   std::int64_t requests = 0;   ///< Requests fulfilled with a prediction.
@@ -136,7 +137,7 @@ class InferenceServer {
 
   /// This server's latency histogram (enqueue->done, microseconds), for
   /// callers that need quantiles beyond the ServerStats summary. Valid
-  /// for the server's lifetime; also mirrored into the process-wide
+  /// for the server's lifetime; its parent is the process-wide
   /// `serve_latency_us` registry histogram.
   [[nodiscard]] const obs::Histogram& latency_histogram() const {
     return latency_hist_;
@@ -152,8 +153,8 @@ class InferenceServer {
   void worker_loop();
   void process_batch(std::vector<QueuedRequest>& batch);
   void resolve_expired(std::vector<QueuedRequest>& expired);
-  std::future<ServeResult> reject(QueuedRequest&& r, ServeErrorCode code,
-                                  std::string detail);
+  /// Resolves `r` with a typed error and counts it in its terminal bucket.
+  void resolve_error(QueuedRequest& r, ServeErrorCode code, std::string detail);
 
   ModelRegistry& registry_;
   ServerConfig cfg_;
@@ -162,10 +163,17 @@ class InferenceServer {
   bool started_ = false;
   bool stopped_ = false;
 
-  mutable std::mutex stats_mu_;
-  ServerStats stats_;
-  obs::Histogram latency_hist_;  ///< Lock-free; written outside stats_mu_.
-  std::uint64_t next_id_ = 0;    ///< Guarded by stats_mu_.
+  /// Slots of `counts_`, in the order of the name table in server.cpp.
+  enum Count : std::size_t {
+    kSubmitted, kRequests, kBatches, kRejectedInvalid, kRejectedQueueFull,
+    kRejectedShutdown, kShedDeadline, kBackendFailed, kDegraded, kCounts
+  };
+  static const obs::CounterTable<ServerStats, kCounts> kCountTable;
+
+  const int workers_;
+  std::array<obs::Counter, kCounts> counts_;  ///< Children of serve_*_total.
+  obs::Histogram latency_hist_;               ///< Child of serve_latency_us.
+  std::atomic<std::uint64_t> next_id_{0};
 };
 
 }  // namespace redcane::serve

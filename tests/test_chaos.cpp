@@ -33,6 +33,7 @@
 #include "core/groups.hpp"
 #include "core/manifest.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "util/fault.hpp"
 
@@ -174,6 +175,7 @@ void run_scenario(const fault::FaultConfig& fc, const char* name) {
   sc.max_queue = 16;
   sc.deadline_us = 2'000'000;  // Generous: only stalls/pressure shed it.
   sc.degrade_under_pressure = true;
+  const obs::Snapshot before = obs::Registry::instance().snapshot();
   InferenceServer server(*registry, sc);
   server.start();
   SoakTally tally;
@@ -181,6 +183,31 @@ void run_scenario(const fault::FaultConfig& fc, const char* name) {
   server.shutdown();
 
   const ServerStats stats = server.stats();
+  // The process-wide serve_* totals grew by exactly this server's view,
+  // and the conservation law holds over them.
+  const obs::Snapshot after = obs::Registry::instance().snapshot();
+  const auto delta = [&](const char* name) { return after.counter(name) - before.counter(name); };
+  EXPECT_EQ(delta("serve_submitted_total"), stats.submitted);
+  EXPECT_EQ(delta("serve_requests_total"), stats.requests);
+  EXPECT_EQ(delta("serve_batches_total"), stats.batches);
+  EXPECT_EQ(delta("serve_rejected_invalid_total"), stats.rejected_invalid);
+  EXPECT_EQ(delta("serve_rejected_queue_full_total"), stats.rejected_queue_full);
+  EXPECT_EQ(delta("serve_rejected_shutdown_total"), stats.rejected_shutdown);
+  EXPECT_EQ(delta("serve_shed_deadline_total"), stats.shed_deadline);
+  EXPECT_EQ(delta("serve_backend_failed_total"), stats.backend_failed);
+  EXPECT_EQ(delta("serve_degraded_total"), stats.degraded);
+  const auto latency_count = [](const obs::Snapshot& s) {
+    const auto it = s.histograms.find("serve_latency_us");
+    return it == s.histograms.end() ? std::int64_t{0} : it->second.count;
+  };
+  EXPECT_EQ(latency_count(after) - latency_count(before), stats.latency.count);
+  bool law_checked = false;
+  for (const obs::CheckResult& c : obs::Registry::instance().run_checks()) {
+    if (c.name != "serve_conservation") continue;
+    law_checked = true;
+    EXPECT_TRUE(c.ok);
+  }
+  EXPECT_TRUE(law_checked);
   // Every submit resolved exactly once, into exactly one bucket.
   EXPECT_EQ(tally.total(), 120);
   EXPECT_EQ(stats.submitted, 120);

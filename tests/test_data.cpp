@@ -208,6 +208,23 @@ TEST(Idx, RejectsMissingTruncatedAndWrongMagic) {
   write_be32(f, 4);
   std::fclose(f);
   EXPECT_FALSE(load_idx_images(dir + "/short.idx", images));
+
+  // Hostile headers are refused before anything is allocated: a 16-byte
+  // file claiming one 65535x65535 image, an 8-byte file claiming
+  // 0xFFFFFFFF labels, and a zero image extent.
+  const auto write_header = [&](const std::string& name,
+                                const std::vector<std::uint32_t>& words) {
+    std::FILE* h = std::fopen((dir + name).c_str(), "wb");
+    ASSERT_NE(h, nullptr);
+    for (std::uint32_t word : words) write_be32(h, word);
+    std::fclose(h);
+  };
+  write_header("/huge_images.idx", {0x803U, 1, 65535, 65535});
+  EXPECT_FALSE(load_idx_images(dir + "/huge_images.idx", images));
+  write_header("/huge_labels.idx", {0x801U, 0xFFFFFFFFU});
+  EXPECT_FALSE(load_idx_labels(dir + "/huge_labels.idx", labels));
+  write_header("/zero_extent.idx", {0x803U, 1, 0, 28});
+  EXPECT_FALSE(load_idx_images(dir + "/zero_extent.idx", images));
 }
 
 TEST(Idx, MnistLoaderFitsExtentAndFallsBackToSynthetic) {

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "dist/journal.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
+#include "obs/metrics.hpp"
 #include "util/fault.hpp"
 
 namespace redcane::dist {
@@ -218,6 +220,69 @@ TEST(DistWire, PointRuleCountIsBoundedBeforeAllocation) {
   EXPECT_FALSE(decode_shard(r, &out));
   ASSERT_EQ(out.points.size(), 1u);
   EXPECT_TRUE(out.points[0].rules.empty());
+}
+
+// Wire-decoded attack specs get the value ranges the text grammar
+// enforces. Identity values (eps 0, angle 0, factor 1) and step 0 (the
+// default-step rule) stay legal: plans put them on the wire.
+TEST(DistWire, AttackSpecValuesAreRangeChecked) {
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    attack::AttackSpec out;
+    WireReader r(bytes.data(), bytes.size());
+    return decode_attack_spec(r, &out) && r.done();
+  };
+  const auto encoded = [](const attack::AttackSpec& spec) {
+    WireWriter w;
+    encode_attack_spec(w, spec);
+    return w.bytes();
+  };
+  const auto legal = [&](const attack::AttackSpec& spec) { return decodes(encoded(spec)); };
+
+  EXPECT_TRUE(legal(attack::AttackSpec::none()));
+  EXPECT_TRUE(legal(attack::AttackSpec::fgsm(0.0)));
+  EXPECT_TRUE(legal(attack::AttackSpec::fgsm(0.1)));
+  EXPECT_TRUE(legal(attack::AttackSpec::pgd(0.1, 7, 0.0)));
+  EXPECT_TRUE(legal(attack::AttackSpec::pgd(0.1, std::numeric_limits<int>::max(), 0.01)));
+  EXPECT_TRUE(legal(attack::AttackSpec::rotate(0.0)));
+  EXPECT_TRUE(legal(attack::AttackSpec::rotate(-15.0)));
+  EXPECT_TRUE(legal(attack::AttackSpec::translate(-2.0)));
+  EXPECT_TRUE(legal(attack::AttackSpec::scale(1.0)));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // PGD with a NaN epsilon and INT_MAX steps: parse_attack_spec refuses it.
+  EXPECT_FALSE(legal(attack::AttackSpec::pgd(nan, std::numeric_limits<int>::max())));
+  EXPECT_FALSE(legal(attack::AttackSpec::fgsm(inf)));
+  EXPECT_FALSE(legal(attack::AttackSpec::fgsm(-0.1)));
+  EXPECT_FALSE(legal(attack::AttackSpec::pgd(0.1, 7, -0.01)));
+  EXPECT_FALSE(legal(attack::AttackSpec::pgd(0.1, 0)));
+  EXPECT_FALSE(legal(attack::AttackSpec::rotate(nan)));
+  EXPECT_FALSE(legal(attack::AttackSpec::translate(-inf)));
+  EXPECT_FALSE(legal(attack::AttackSpec::scale(0.0)));
+  EXPECT_FALSE(legal(attack::AttackSpec::scale(-1.0)));
+  attack::AttackSpec clip = attack::AttackSpec::fgsm(0.1);
+  clip.clip_min = 1.0;
+  clip.clip_max = 0.0;
+  EXPECT_FALSE(legal(clip));
+  attack::AttackSpec margin = attack::AttackSpec::fgsm(0.1);
+  margin.margin.lambda = nan;
+  EXPECT_FALSE(legal(margin));
+  // A u32 step count above INT_MAX (it would wrap negative in an int).
+  // Steps follow the kind byte and the f64 epsilon.
+  EXPECT_FALSE(decodes(inflate_u32(encoded(attack::AttackSpec::pgd(0.1, 7)), 9)));
+}
+
+TEST(DistWire, StandardJobShardsPassTheDecoder) {
+  for (const char* profile : {"quick", "full"}) {
+    const StandardJob job = make_standard_job(profile);
+    for (const core::SweepShard& shard : job.shards) {
+      WireWriter w;
+      encode_shard(w, shard);
+      core::SweepShard out;
+      WireReader r(w.bytes().data(), w.bytes().size());
+      EXPECT_TRUE(decode_shard(r, &out)) << profile << " shard " << shard.id;
+    }
+  }
 }
 
 // ---- framed transport ------------------------------------------------
@@ -509,14 +574,52 @@ CoordRun run_distributed(StandardJob& job, CoordinatorConfig cfg, int workers,
   return run;
 }
 
+/// Each dist_*_total registry counter next to the DistStats field it totals.
+const std::vector<std::pair<const char*, std::int64_t DistStats::*>> kDistTotals = {
+    {"dist_shards_total", &DistStats::shards_total},
+    {"dist_journal_resumed_total", &DistStats::journal_resumed},
+    {"dist_assigned_total", &DistStats::assigned},
+    {"dist_result_ok_total", &DistStats::result_ok},
+    {"dist_result_dup_total", &DistStats::result_dup},
+    {"dist_late_results_total", &DistStats::late_results},
+    {"dist_results_accepted_total", &DistStats::results_accepted},
+    {"dist_stolen_total", &DistStats::stolen},
+    {"dist_lost_total", &DistStats::lost},
+    {"dist_cancelled_total", &DistStats::cancelled},
+    {"dist_requeues_total", &DistStats::requeues},
+    {"dist_failed_permanent_total", &DistStats::failed_permanent},
+    {"dist_dropped_completed_total", &DistStats::dropped_completed},
+    {"dist_local_completed_total", &DistStats::local_completed},
+    {"dist_workers_seen_total", &DistStats::workers_seen},
+    {"dist_workers_refused_total", &DistStats::workers_refused},
+    {"dist_corrupt_frames_total", &DistStats::corrupt_frames},
+    {"dist_heartbeats_total", &DistStats::heartbeats},
+    {"dist_rtt_samples_total", &DistStats::rtt_samples},
+    {"dist_rtt_sum_us_total", &DistStats::rtt_sum_us},
+};
+
 TEST(DistEndToEnd, TwoWorkersProduceBitIdenticalGrids) {
   StandardJob job = make_standard_job("quick");
   CoordinatorConfig cfg;
   cfg.addr = "unix:" + temp_path("e2e_two.sock");
   cfg.job_hash = job.job_hash;
 
+  const obs::Snapshot before = obs::Registry::instance().snapshot();
   const CoordRun run = run_distributed(job, cfg, /*workers=*/2);
+  const obs::Snapshot after = obs::Registry::instance().snapshot();
   ASSERT_TRUE(run.result.complete) << run.result.error;
+  // The registry totals grew by exactly this run's stats, and the three
+  // laws hold over them.
+  for (const auto& [name, field] : kDistTotals) {
+    EXPECT_EQ(after.counter(name) - before.counter(name), run.result.stats.*field) << name;
+  }
+  int dist_checks = 0;
+  for (const obs::CheckResult& c : obs::Registry::instance().run_checks()) {
+    if (c.name.rfind("dist_", 0) != 0) continue;
+    ++dist_checks;
+    EXPECT_TRUE(c.ok) << c.name;
+  }
+  EXPECT_EQ(dist_checks, 3);
   EXPECT_TRUE(run.result.stats.reconciles());
   EXPECT_FALSE(run.result.stats.degraded);
   EXPECT_EQ(run.result.stats.workers_seen, 2);

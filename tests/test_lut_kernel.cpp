@@ -23,6 +23,7 @@
 
 #include "approx/library.hpp"
 #include "backend/emulation.hpp"
+#include "obs/metrics.hpp"
 #include "quant/lut_cache.hpp"
 #include "quant/lut_gemm.hpp"
 #include "tensor/gemm.hpp"
@@ -275,8 +276,21 @@ TEST(LutKernel, ForcedTargetRejectionAndTierNames) {
 }
 
 TEST(LutCache, HitsMissesWordlengthsAndConcurrentFirstTouch) {
+  // Each hit or miss is recorded once: the cache's resettable view and the
+  // process-wide lut_cache_*_total counters move together (a reset zeroes
+  // only the view).
+  obs::Snapshot before;
+  const auto expect_registry_moved_by = [&](const quant::LutCacheStats& view) {
+    const obs::Snapshot after = obs::Registry::instance().snapshot();
+    EXPECT_EQ(after.counter("lut_cache_hits_total") - before.counter("lut_cache_hits_total"),
+              static_cast<std::int64_t>(view.hits));
+    EXPECT_EQ(after.counter("lut_cache_misses_total") - before.counter("lut_cache_misses_total"),
+              static_cast<std::int64_t>(view.misses));
+  };
+
   quant::lut_cache_clear();
   quant::lut_cache_reset_stats();
+  before = obs::Registry::instance().snapshot();
 
   const LutTables& a = quant::lut_cache_get(nullptr, 8);
   const LutTables& b = quant::lut_cache_get(&approx::exact_multiplier(), 8);
@@ -287,11 +301,13 @@ TEST(LutCache, HitsMissesWordlengthsAndConcurrentFirstTouch) {
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.entries, 2u);
+  expect_registry_moved_by(s);
 
   // Concurrent first touch of one new key: exactly one build wins, every
   // thread sees the same entry.
   quant::lut_cache_clear();
   quant::lut_cache_reset_stats();
+  before = obs::Registry::instance().snapshot();
   const approx::Multiplier& drum = approx::multiplier_by_name("axm_drum4_dm1");
   std::vector<const LutTables*> seen(8, nullptr);
   std::vector<std::thread> threads;
@@ -305,6 +321,7 @@ TEST(LutCache, HitsMissesWordlengthsAndConcurrentFirstTouch) {
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.hits + s.misses, seen.size());
   EXPECT_GE(s.misses, 1u);  // Racing losers may also count as builds-then-hits.
+  expect_registry_moved_by(s);
 }
 
 TEST(LutCache, PlanScopedInvalidationDropsCallerOwnedEntries) {

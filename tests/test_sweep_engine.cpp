@@ -23,6 +23,7 @@
 #include "core/groups.hpp"
 #include "core/resilience.hpp"
 #include "data/synthetic.hpp"
+#include "obs/metrics.hpp"
 
 namespace redcane::core {
 namespace {
@@ -235,6 +236,7 @@ TEST(SweepEngine, StatsAccountForSkippedStages) {
   cfg.seed = 3;
   cfg.eval_batch = 16;
   cfg.threads = 1;
+  const obs::Snapshot before = obs::Registry::instance().snapshot();
   SweepEngine engine(model, ds.test_x, ds.test_y, cfg);
   (void)engine.accuracy(attack::AttackSpec::none());
 
@@ -248,6 +250,27 @@ TEST(SweepEngine, StatsAccountForSkippedStages) {
   EXPECT_GT(engine.stats().stages_skipped, 0);
   EXPECT_EQ(engine.stats().stages_total, 2LL * model.num_stages());
   EXPECT_GT(engine.stats().skip_fraction(), 0.5);
+
+  // The process-wide sweep_* totals already hold this engine's counts while
+  // it is alive, and the stage law holds over them.
+  const obs::Snapshot after = obs::Registry::instance().snapshot();
+  const auto delta = [&](const char* name) { return after.counter(name) - before.counter(name); };
+  const SweepEngineStats st = engine.stats();
+  EXPECT_EQ(delta("sweep_evaluations_total"), st.evaluations);
+  EXPECT_EQ(delta("sweep_stage_cache_hits_total"), st.cache_hits);
+  EXPECT_EQ(delta("sweep_stages_skipped_total"), st.stages_skipped);
+  EXPECT_EQ(delta("sweep_stages_run_total"), st.stages_total - st.stages_skipped);
+  EXPECT_EQ(delta("sweep_stages_total"), st.stages_total);
+  EXPECT_EQ(delta("sweep_input_sets_total"), st.input_sets);
+  EXPECT_EQ(delta("sweep_input_cache_hits_total"), st.input_cache_hits);
+  EXPECT_EQ(delta("sweep_input_evictions_total"), st.input_evictions);
+  bool law_checked = false;
+  for (const obs::CheckResult& c : obs::Registry::instance().run_checks()) {
+    if (c.name != "sweep_stage_conservation") continue;
+    law_checked = true;
+    EXPECT_TRUE(c.ok);
+  }
+  EXPECT_TRUE(law_checked);
 
   // MAC outputs start at stage 0: nothing can be skipped.
   SweepEngine engine2(model, ds.test_x, ds.test_y, cfg);
