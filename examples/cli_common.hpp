@@ -1,14 +1,18 @@
-// Shared helpers of the example CLIs (redcane_cli, redcane_serve): the
-// minimal --flag value parser and the dataset-name mapping. Header-only so
+// Shared helpers of the example CLIs (redcane_cli, redcane_serve,
+// redcane_dist): the minimal --flag value parser (numbers under
+// util/parse's rule; a bad value exits 2) and the dataset-name mapping. Header-only so
 // the examples/*.cpp -> one-binary-each build rule stays untouched.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "data/idx.hpp"
 #include "data/synthetic.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::examples {
 
@@ -33,16 +37,56 @@ class Args {
     return fallback;
   }
 
-  /// Numeric value following `flag`, or `fallback` when absent.
-  [[nodiscard]] double get_num(const std::string& flag, double fallback) const {
+  /// Real value following `flag`, or `fallback` when absent.
+  [[nodiscard]] double get_real(const std::string& flag, double fallback) const {
     const std::string v = get(flag, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
+    double out = fallback;
+    if (!v.empty() && !util::parse_real(v, &out)) bad_value(flag, v, "a finite number");
+    return out;
+  }
+
+  /// Integer value in [lo, hi] following `flag`, or `fallback` when absent.
+  [[nodiscard]] std::int64_t get_int(const std::string& flag, std::int64_t fallback,
+                                     std::int64_t lo, std::int64_t hi) const {
+    return int_value(flag, get(flag, ""), fallback, lo, hi);
+  }
+
+  /// Unsigned 64-bit value following `flag`, or `fallback` when absent.
+  [[nodiscard]] std::uint64_t get_uint64(const std::string& flag, std::uint64_t fallback) const {
+    const std::string v = get(flag, "");
+    std::uint64_t out = fallback;
+    if (!v.empty() && !util::parse_int(v, &out)) bad_value(flag, v, "an unsigned 64-bit integer");
+    return out;
+  }
+
+  /// `text` as an integer in [lo, hi] (`fallback` when empty); `what` names
+  /// the flag or variable it came from in the error.
+  [[nodiscard]] static std::int64_t int_value(const std::string& what, const std::string& text,
+                                              std::int64_t fallback, std::int64_t lo,
+                                              std::int64_t hi) {
+    std::int64_t out = fallback;
+    if (!text.empty() && !util::parse_int(text, &out, lo, hi)) {
+      bad_value(what, text,
+                "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return out;
   }
 
  private:
+  /// Flag values follow util/parse's number rule; anything else is a usage
+  /// error that names the flag.
+  [[noreturn]] static void bad_value(const std::string& what, const std::string& text,
+                                     const std::string& expected) {
+    std::fprintf(stderr, "%s: '%s' is not %s\n", what.c_str(), text.c_str(), expected.c_str());
+    std::exit(2);
+  }
+
   int argc_;
   char** argv_;
 };
+
+/// Largest value of an int-typed flag.
+inline constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 /// Dataset name -> kind; exits with usage message on an unknown name.
 inline data::DatasetKind dataset_kind_of(const std::string& name) {

@@ -34,16 +34,16 @@ namespace {
 int cmd_analyze(const Args& args) {
   const std::string model_name = args.get("--model", "capsnet");
   const std::string dataset_name = args.get("--dataset", "mnist");
-  const auto epochs = static_cast<int>(args.get_num("--epochs", 8));
-  const auto train_n = static_cast<std::int64_t>(args.get_num("--train", 800));
-  const auto test_n = static_cast<std::int64_t>(args.get_num("--test", 250));
+  const auto epochs = static_cast<int>(args.get_int("--epochs", 8, 0, examples::kIntMax));
+  const auto train_n = args.get_int("--train", 800, 1, examples::kIntMax);
+  const auto test_n = args.get_int("--test", 250, 1, examples::kIntMax);
 
   const data::DatasetKind kind = examples::dataset_kind_of(dataset_name);
   const bool deepcaps = model_name == "deepcaps";
   const std::int64_t hw = deepcaps ? 16 : 28;
   const data::Dataset ds = examples::load_cli_dataset(args, kind, hw, train_n, test_n);
 
-  Rng rng(static_cast<std::uint64_t>(args.get_num("--seed", 7)));
+  Rng rng(args.get_uint64("--seed", 7));
   std::unique_ptr<capsnet::CapsModel> model;
   if (deepcaps) {
     capsnet::DeepCapsConfig cfg = capsnet::DeepCapsConfig::tiny();
@@ -65,7 +65,7 @@ int cmd_analyze(const Args& args) {
   capsnet::train(*model, ds.train_x, ds.train_y, tc);
 
   core::MethodologyConfig mc;
-  mc.tolerance_pct = args.get_num("--tolerance", 1.0);
+  mc.tolerance_pct = args.get_real("--tolerance", 1.0);
   mc.profile_chain_length = deepcaps ? 9 : 81;  // 3x3 vs 9x9 kernels.
   const core::MethodologyResult result =
       core::run_redcane(*model, ds.test_x, ds.test_y, ds.name, mc);
@@ -98,8 +98,8 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_profile(const Args& args) {
-  const auto chain = static_cast<int>(args.get_num("--chain", 9));
-  const auto samples = static_cast<std::int64_t>(args.get_num("--samples", 30000));
+  const auto chain = static_cast<int>(args.get_int("--chain", 9, 1, examples::kIntMax));
+  const auto samples = args.get_int("--samples", 30000, 1, examples::kIntMax);
   const auto profiled = core::profile_library(approx::InputDistribution::uniform(), chain,
                                               samples, 7);
   std::fputs(core::profiles_to_csv(profiled).c_str(), stdout);

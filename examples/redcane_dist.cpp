@@ -101,10 +101,15 @@ int run_coordinator(const examples::Args& args, const std::string& profile,
   dist::CoordinatorConfig cfg;
   cfg.addr = addr;
   cfg.job_hash = job.job_hash;
-  cfg.heartbeat_deadline_ms = static_cast<std::int64_t>(args.get_num(
-      "--heartbeat-ms", std::atof(env_or("REDCANE_DIST_HEARTBEAT_MS", "1000").c_str())));
-  cfg.backoff.budget = static_cast<int>(args.get_num(
-      "--retry-budget", std::atof(env_or("REDCANE_DIST_RETRY_BUDGET", "4").c_str())));
+  // Flag, then environment variable, then default.
+  cfg.heartbeat_deadline_ms = examples::Args::int_value(
+      "--heartbeat-ms / REDCANE_DIST_HEARTBEAT_MS",
+      args.get("--heartbeat-ms", env_or("REDCANE_DIST_HEARTBEAT_MS", "")), 1000, 1,
+      examples::kIntMax);
+  cfg.backoff.budget = static_cast<int>(examples::Args::int_value(
+      "--retry-budget / REDCANE_DIST_RETRY_BUDGET",
+      args.get("--retry-budget", env_or("REDCANE_DIST_RETRY_BUDGET", "")), 4, 0,
+      examples::kIntMax));
   cfg.journal_path = args.get("--journal", env_or("REDCANE_DIST_JOURNAL", ""));
   if (args.has("--resume") && cfg.journal_path.empty()) {
     std::fprintf(stderr, "--resume needs --journal (or REDCANE_DIST_JOURNAL)\n");

@@ -148,7 +148,7 @@ int run(const Args& args) {
   const std::string model_name = args.get("--model", "capsnet");
   const bool deepcaps = model_name == "deepcaps";
   const std::string out_prefix = args.get("--out", smoke ? "serve_smoke" : "serve_design");
-  const auto test_n = static_cast<std::int64_t>(args.get_num("--test", smoke ? 64 : 200));
+  const auto test_n = args.get_int("--test", smoke ? 64 : 200, 1, examples::kIntMax);
 
   data::Dataset ds;
   std::unique_ptr<serve::ModelRegistry> registry;
@@ -171,12 +171,10 @@ int run(const Args& args) {
     // ---- Design phase: train, run ReD-CaNe, export checkpoint + manifest.
     const data::DatasetKind kind =
         examples::dataset_kind_of(args.get("--dataset", deepcaps ? "cifar10" : "mnist"));
-    const std::int64_t hw =
-        static_cast<std::int64_t>(args.get_num("--hw", deepcaps ? 16 : (smoke ? 20 : 28)));
-    const auto train_n =
-        static_cast<std::int64_t>(args.get_num("--train", smoke ? 240 : 600));
+    const std::int64_t hw = args.get_int("--hw", deepcaps ? 16 : (smoke ? 20 : 28), 1, 1 << 16);
+    const std::int64_t train_n = args.get_int("--train", smoke ? 240 : 600, 1, examples::kIntMax);
     ds = examples::load_cli_dataset(args, kind, hw, train_n, test_n);
-    Rng rng(static_cast<std::uint64_t>(args.get_num("--seed", 7)));
+    Rng rng(args.get_uint64("--seed", 7));
     std::unique_ptr<capsnet::CapsModel> model;
     std::string profile = "tiny";
     if (deepcaps) {
@@ -191,7 +189,8 @@ int run(const Args& args) {
       model = std::make_unique<capsnet::CapsNetModel>(cfg, rng);
     }
 
-    const auto epochs = static_cast<int>(args.get_num("--epochs", smoke ? 3 : 6));
+    const auto epochs =
+        static_cast<int>(args.get_int("--epochs", smoke ? 3 : 6, 0, examples::kIntMax));
     std::printf("designing: training %s on %s (%d epochs, %lld samples)...\n",
                 model->name().c_str(), ds.name.c_str(), epochs,
                 static_cast<long long>(train_n));
@@ -205,7 +204,7 @@ int run(const Args& args) {
     // Serving injects every site's component jointly, so per-operation
     // budgets compound (see bench_design_validation); half the paper's 1 pp
     // per-op budget keeps the deployed design within ~1 pp of exact.
-    mc.tolerance_pct = args.get_num("--tolerance", 0.5);
+    mc.tolerance_pct = args.get_real("--tolerance", 0.5);
     mc.profile_chain_length = deepcaps ? 9 : 81;
     if (smoke) {
       mc.resilience.sweep.nms = {0.5, 0.05, 0.005, 0.0};
@@ -250,9 +249,9 @@ int run(const Args& args) {
               registry->manifest().baseline_accuracy * 100.0);
 
   serve::ServerConfig sc;
-  sc.workers = static_cast<int>(args.get_num("--workers", smoke ? 2 : 0));
-  sc.max_batch = static_cast<std::int64_t>(args.get_num("--batch", smoke ? 8 : 16));
-  sc.max_delay_us = static_cast<std::int64_t>(args.get_num("--delay-us", 2000));
+  sc.workers = static_cast<int>(args.get_int("--workers", smoke ? 2 : 0, 0, examples::kIntMax));
+  sc.max_batch = args.get_int("--batch", smoke ? 8 : 16, 1, examples::kIntMax);
+  sc.max_delay_us = args.get_int("--delay-us", 2000, 0, examples::kIntMax);
   serve::InferenceServer server(*registry, sc);
   server.start();
 

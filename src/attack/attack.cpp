@@ -1,13 +1,10 @@
 #include "attack/attack.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
 #include "capsnet/trainer.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::attack {
 namespace {
@@ -72,17 +69,6 @@ namespace {
       break;
   }
   return p;
-}
-
-/// One "key=value" assignment from the spec grammar; rejects trailing junk.
-[[nodiscard]] bool parse_number(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
 }
 
 [[nodiscard]] bool fail(std::string* error, const std::string& message) {
@@ -213,22 +199,20 @@ bool parse_attack_spec(const std::string& text, AttackSpec* out, std::string* er
                            ":key=value'");
   }
 
+  std::vector<std::pair<std::string_view, std::string_view>> items;
+  if (!util::split_key_values(std::string_view(text).substr(colon + 1), &items)) {
+    return fail(error, "malformed parameters '" + text.substr(colon + 1) +
+                           "' (expected key=value,...)");
+  }
   bool have_required = false;
-  std::size_t at = colon + 1;
-  while (at <= text.size()) {
-    const std::size_t comma = text.find(',', at);
-    const std::string item =
-        text.substr(at, comma == std::string::npos ? std::string::npos : comma - at);
-    at = comma == std::string::npos ? text.size() + 1 : comma + 1;
-
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return fail(error, "malformed parameter '" + item + "' (expected key=value)");
+  for (const auto& [kkey, v] : items) {
+    if (kkey == "steps" && spec.kind == AttackKind::kPgd) {
+      if (util::parse_int(v, &spec.steps, 1)) continue;
+      return fail(error, "steps must be an integer in [1, INT_MAX]");
     }
-    const std::string kkey = item.substr(0, eq);
     double value = 0.0;
-    if (!parse_number(item.substr(eq + 1), &value)) {
-      return fail(error, "bad number in '" + item + "'");
+    if (!util::parse_real(v, &value)) {
+      return fail(error, "bad number in '" + std::string(kkey) + "=" + std::string(v) + "'");
     }
 
     if (spec.kind == AttackKind::kFgsm || spec.kind == AttackKind::kPgd) {
@@ -236,17 +220,11 @@ bool parse_attack_spec(const std::string& text, AttackSpec* out, std::string* er
         if (value <= 0.0) return fail(error, "eps must be > 0");
         spec.epsilon = value;
         have_required = true;
-      } else if (kkey == "steps" && spec.kind == AttackKind::kPgd) {
-        if (value < 1.0 || value != std::floor(value) ||
-            value > std::numeric_limits<int>::max()) {
-          return fail(error, "steps must be a positive integer that fits an int");
-        }
-        spec.steps = static_cast<int>(value);
       } else if (kkey == "step" && spec.kind == AttackKind::kPgd) {
         if (value <= 0.0) return fail(error, "step must be > 0");
         spec.step_size = value;
       } else {
-        return fail(error, "unknown parameter '" + kkey + "' for " + name);
+        return fail(error, "unknown parameter '" + std::string(kkey) + "' for " + name);
       }
     } else if (spec.kind == AttackKind::kRotate && kkey == "deg") {
       spec.severity = value;
@@ -259,7 +237,7 @@ bool parse_attack_spec(const std::string& text, AttackSpec* out, std::string* er
       spec.severity = value;
       have_required = true;
     } else {
-      return fail(error, "unknown parameter '" + kkey + "' for " + name);
+      return fail(error, "unknown parameter '" + std::string(kkey) + "' for " + name);
     }
   }
   if (!have_required) {

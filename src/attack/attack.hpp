@@ -76,9 +76,9 @@ struct AttackSpec {
 
 /// Parses the textual spec grammar used by CLI flags and the serve attacked
 /// mode: "none", "fgsm:eps=0.1", "pgd:eps=0.1,steps=5,step=0.02",
-/// "rotate:deg=15", "translate:px=2", "scale:factor=1.2". Returns false and
-/// fills `error` on malformed input (unknown kind/key, bad number, missing
-/// required key, out-of-range value); never aborts.
+/// "rotate:deg=15", "translate:px=2", "scale:factor=1.2", read by util/parse's
+/// rules. Returns false and fills `error` on malformed input (unknown kind/key,
+/// bad number, missing required key, out-of-range value); never aborts.
 [[nodiscard]] bool parse_attack_spec(const std::string& text, AttackSpec* out,
                                      std::string* error);
 

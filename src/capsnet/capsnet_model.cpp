@@ -13,6 +13,19 @@ CapsNetConfig CapsNetConfig::tiny() {
   return c;
 }
 
+std::optional<ParamLayout> CapsNetConfig::param_layout() const {
+  const std::int64_t h1 = conv_out_extent(input_hw, conv1_kernel, 1, 0);
+  const std::int64_t h2 = conv_out_extent(h1, primary_kernel, primary_stride, 0);
+  if (h2 <= 0) return std::nullopt;
+  const std::int64_t caps = primary_types * primary_dim;
+  ParamLayout l;
+  l.tensors = 5;  // Conv1 w, b; PrimaryCaps w, b; ClassCaps w.
+  l.floats = conv1_kernel * conv1_kernel * input_channels * conv1_channels + conv1_channels +
+             primary_kernel * primary_kernel * conv1_channels * caps + caps +
+             h2 * h2 * primary_types * num_classes * primary_dim * class_dim;
+  return l;
+}
+
 CapsNetModel::CapsNetModel(const CapsNetConfig& cfg, Rng& rng) : cfg_(cfg) {
   nn::Conv2DSpec c1;
   c1.in_channels = cfg.input_channels;

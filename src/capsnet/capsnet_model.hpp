@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "capsnet/class_caps.hpp"
 #include "capsnet/model.hpp"
@@ -37,6 +38,10 @@ struct CapsNetConfig {
   static CapsNetConfig paper();
   /// Sweep-affordable profile with identical topology.
   static CapsNetConfig tiny();
+
+  /// Footprint of CapsNetModel(*this), walked without allocating; nullopt
+  /// when a layer's output would be empty. Exact for fields below 2^16.
+  [[nodiscard]] std::optional<ParamLayout> param_layout() const;
 };
 
 class CapsNetModel final : public CapsModel {

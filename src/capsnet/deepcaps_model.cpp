@@ -35,6 +35,26 @@ DeepCapsConfig DeepCapsConfig::tiny() {
   return c;
 }
 
+std::optional<ParamLayout> DeepCapsConfig::param_layout() const {
+  std::int64_t hw = conv_out_extent(input_hw, 3, 1, 1);        // Stem.
+  for (int k = 0; k < 4; ++k) hw = conv_out_extent(hw, 3, 2, 1);  // Strided entries.
+  if (hw <= 0) return std::nullopt;
+  const std::int64_t t = types;
+  ParamLayout l;
+  // A 3x3 conv (w, b) followed by batch norm (gamma, beta, mean, var).
+  const auto conv_bn = [&l](std::int64_t cin, std::int64_t cout) {
+    l.tensors += 6;
+    l.floats += 9 * cin * cout + 5 * cout;
+  };
+  conv_bn(input_channels, t * dim_block1);
+  for (int i = 0; i < 4; ++i) conv_bn(t * dim_block1, t * dim_block1);  // Block 1.
+  conv_bn(t * dim_block1, t * dim_rest);                               // Block 2 entry.
+  for (int i = 0; i < 10; ++i) conv_bn(t * dim_rest, t * dim_rest);     // The rest.
+  l.tensors += 2;  // Caps3D w, ClassCaps w.
+  l.floats += t * 9 * dim_rest * t * dim_rest + hw * hw * t * num_classes * dim_rest * class_dim;
+  return l;
+}
+
 DeepCapsModel::DeepCapsModel(const DeepCapsConfig& cfg, Rng& rng) : cfg_(cfg) {
   nn::Conv2DSpec c1;
   c1.in_channels = cfg.input_channels;

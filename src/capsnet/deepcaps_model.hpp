@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "capsnet/class_caps.hpp"
 #include "capsnet/conv_caps2d.hpp"
@@ -38,6 +39,10 @@ struct DeepCapsConfig {
   static DeepCapsConfig paper();
   /// Sweep-affordable profile with identical 18-layer topology.
   static DeepCapsConfig tiny();
+
+  /// Footprint of DeepCapsModel(*this), walked without allocating; nullopt
+  /// when a layer's output would be empty. Exact for fields below 2^16.
+  [[nodiscard]] std::optional<ParamLayout> param_layout() const;
 };
 
 class DeepCapsModel final : public CapsModel {

@@ -4,6 +4,7 @@
 // paper's flow is.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,23 @@ namespace redcane::capsnet {
 struct StageState {
   std::vector<std::vector<Tensor>> at;
 };
+
+/// Parameter footprint of a model: the number of tensors its params()
+/// returns and the floats they hold together. Each config computes the
+/// footprint of the model it would build from its shapes alone
+/// (`param_layout()`), so a caller can bound a model by outside bytes
+/// before allocating it.
+struct ParamLayout {
+  std::int64_t tensors = 0;
+  std::int64_t floats = 0;
+};
+
+/// Output extent of a convolution over `in` pixels: 0 (an empty output)
+/// when the padded input is smaller than the kernel.
+[[nodiscard]] constexpr std::int64_t conv_out_extent(std::int64_t in, std::int64_t kernel,
+                                                     std::int64_t stride, std::int64_t pad) {
+  return in + 2 * pad < kernel ? 0 : (in + 2 * pad - kernel) / stride + 1;
+}
 
 class CapsModel {
  public:

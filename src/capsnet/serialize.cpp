@@ -1,80 +1,65 @@
 #include "capsnet/serialize.hpp"
 
-#include <cstdint>
-#include <cstdio>
-#include <memory>
+#include <algorithm>
 
+#include "util/bytes.hpp"
 #include "util/crc32.hpp"
 
 namespace redcane::capsnet {
-namespace {
 
-// Format v2 ("RDC2"): magic, then the v1 payload (param count, then per
-// param element count + float data), then a trailing CRC-32 of every
-// payload byte. v1 ("RDCN") files carried only magic/size validation, so a
-// bit-flipped weights file loaded silently; v2 readers reject them (and
-// any corruption) instead of serving mangled weights. The CRC helper is
-// util::crc32 — the same checksum the distributed wire frames and run
-// journal use.
-constexpr char kMagic[4] = {'R', 'D', 'C', '2'};
+constexpr std::uint32_t kMagic = 0x32434452;  // "RDC2" as a little-endian u32.
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-}  // namespace
+std::uint64_t checkpoint_bytes(const ParamLayout& layout) {
+  return 16 + 8 * static_cast<std::uint64_t>(layout.tensors) +
+         4 * static_cast<std::uint64_t>(layout.floats);
+}
 
 bool save_params(CapsModel& model, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return false;
-  if (std::fwrite(kMagic, 1, 4, f.get()) != 4) return false;
-  std::uint32_t crc = util::crc32_init();
-  const auto put = [&](const void* data, std::size_t bytes) {
-    if (std::fwrite(data, 1, bytes, f.get()) != bytes) return false;
-    crc = util::crc32_update(crc, data, bytes);
-    return true;
-  };
   const std::vector<nn::Param*> params = model.params();
-  const std::uint64_t count = params.size();
-  if (!put(&count, sizeof(count))) return false;
+  util::ByteWriter w;
+  w.u32(kMagic);
+  w.u64(params.size());
   for (nn::Param* p : params) {
-    const std::uint64_t n = static_cast<std::uint64_t>(p->value.numel());
-    if (!put(&n, sizeof(n))) return false;
-    if (!put(p->value.data().data(), sizeof(float) * n)) return false;
+    w.u64(static_cast<std::uint64_t>(p->value.numel()));
+    w.f32s(p->value.data());
   }
-  return std::fwrite(&crc, sizeof(crc), 1, f.get()) == 1;
+  const std::vector<std::uint8_t>& b = w.bytes();
+  w.u32(util::crc32(b.data() + 4, b.size() - 4));
+  return util::write_file(path, b.data(), b.size());
 }
 
 bool load_params(CapsModel& model, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  char magic[4];
-  if (std::fread(magic, 1, 4, f.get()) != 4) return false;
-  for (int i = 0; i < 4; ++i) {
-    if (magic[i] != kMagic[i]) return false;
-  }
-  std::uint32_t crc = util::crc32_init();
-  const auto get = [&](void* data, std::size_t bytes) {
-    if (std::fread(data, 1, bytes, f.get()) != bytes) return false;
-    crc = util::crc32_update(crc, data, bytes);
-    return true;
-  };
   const std::vector<nn::Param*> params = model.params();
+  ParamLayout layout{static_cast<std::int64_t>(params.size()), 0};
+  for (nn::Param* p : params) layout.floats += p->value.numel();
+  const std::uint64_t size = checkpoint_bytes(layout);
+  std::vector<std::uint8_t> file;
+  if (!util::read_file(path, size, &file) || file.size() != size) return false;
+
+  // Stage every float; the model is written only once all checks passed.
+  std::vector<float> staged(static_cast<std::size_t>(layout.floats));
+  util::ByteReader r(file.data(), file.size());
+  std::uint32_t magic = 0, crc = 0;
   std::uint64_t count = 0;
-  if (!get(&count, sizeof(count))) return false;
-  if (count != params.size()) return false;
+  bool ok = r.u32(&magic) && magic == kMagic && r.u64(&count) && count == params.size();
+  std::size_t at = 0;
   for (nn::Param* p : params) {
-    std::uint64_t n = 0;
-    if (!get(&n, sizeof(n))) return false;
-    if (n != static_cast<std::uint64_t>(p->value.numel())) return false;
-    if (!get(p->value.data().data(), sizeof(float) * n)) return false;
+    const auto n = static_cast<std::size_t>(p->value.numel());
+    std::uint64_t stored_n = 0;
+    ok = ok && r.u64(&stored_n) && stored_n == n &&
+         r.f32s(std::span<float>(staged).subspan(at, n));
+    at += n;
   }
-  std::uint32_t stored = 0;
-  if (std::fread(&stored, sizeof(stored), 1, f.get()) != 1) return false;
-  return stored == crc;
+  if (!(ok && r.u32(&crc) && r.done() && crc == util::crc32(file.data() + 4, size - 8))) {
+    return false;
+  }
+  at = 0;
+  for (nn::Param* p : params) {
+    std::copy_n(staged.begin() + static_cast<std::ptrdiff_t>(at), p->value.numel(),
+                p->value.data().begin());
+    at += static_cast<std::size_t>(p->value.numel());
+  }
+  return true;
 }
 
 }  // namespace redcane::capsnet

@@ -1,7 +1,8 @@
 #include "core/export.hpp"
 
 #include <cstdio>
-#include <memory>
+
+#include "util/bytes.hpp"
 
 namespace redcane::core {
 namespace {
@@ -205,14 +206,7 @@ std::string result_to_json(const MethodologyResult& r) {
 }
 
 bool write_text_file(const std::string& path, const std::string& content) {
-  struct Closer {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  const std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "wb"));
-  if (!f) return false;
-  return std::fwrite(content.data(), 1, content.size(), f.get()) == content.size();
+  return util::write_file(path, content.data(), content.size());
 }
 
 }  // namespace redcane::core

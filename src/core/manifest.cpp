@@ -1,10 +1,10 @@
 #include "core/manifest.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "core/export.hpp"
+#include "util/bytes.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::core {
 namespace {
@@ -15,30 +15,30 @@ constexpr const char* kVersionLine = "redcane-manifest v1";
 /// negative or absurd count would otherwise construct a broken registry
 /// (or a multi-terabyte tensor) from one bad manifest line.
 constexpr std::int64_t kMaxExtent = 1 << 16;
+/// A manifest is a few dozen short lines; anything near this is not one.
+constexpr std::size_t kMaxManifestBytes = 1 << 20;
 
 bool valid_manifest(const DeploymentManifest& m) {
   if (m.model.empty()) return false;
-  if (m.input_hw < 0 || m.input_hw > kMaxExtent) return false;
-  if (m.input_channels < 0 || m.input_channels > kMaxExtent) return false;
-  if (m.num_classes < 0 || m.num_classes > kMaxExtent) return false;
-  if (!std::isfinite(m.baseline_accuracy)) return false;
+  // One selection per operation site: a duplicate (layer, kind) entry
+  // means the manifest is inconsistent about what runs there.
   for (std::size_t i = 0; i < m.sites.size(); ++i) {
-    const ManifestSite& s = m.sites[i];
-    // NaN/Inf noise would propagate straight into every served batch of
-    // the designed variant.
-    if (!std::isfinite(s.nm) || !std::isfinite(s.na) ||
-        !std::isfinite(s.tolerable_nm)) {
-      return false;
-    }
-    // One selection per operation site: a duplicate (layer, kind) entry
-    // means the manifest is inconsistent about what runs there.
     for (std::size_t j = 0; j < i; ++j) {
-      if (m.sites[j].site.layer == s.site.layer && m.sites[j].site.kind == s.site.kind) {
-        return false;
-      }
+      if (m.sites[j].site == m.sites[i].site) return false;
     }
   }
   return true;
+}
+
+/// Whitespace-separated tokens of one line, as views into it.
+std::vector<std::string_view> tokens_of(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\r\v\f";
+  std::vector<std::string_view> out;
+  for (std::size_t at = 0; (at = line.find_first_not_of(kSpace, at)) != std::string_view::npos;) {
+    out.push_back(line.substr(at, line.find_first_of(kSpace, at) - at));
+    at += out.back().size();
+  }
+  return out;
 }
 
 std::string fmt_full(double v) {
@@ -123,38 +123,43 @@ std::string manifest_to_text(const DeploymentManifest& m) {
 
 bool manifest_from_text(const std::string& text, DeploymentManifest& out) {
   out = DeploymentManifest{};
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kVersionLine) return false;
-  while (std::getline(in, line)) {
+  const std::string_view all = text;
+  std::size_t end = all.find('\n');
+  if (all.substr(0, end) != kVersionLine) return false;
+  while (end != std::string_view::npos) {
+    const std::size_t begin = end + 1;
+    end = all.find('\n', begin);
+    const std::string_view line = all.substr(begin, end - begin);
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "model") fields >> out.model;
-    else if (key == "profile") fields >> out.profile;
-    else if (key == "input_hw") fields >> out.input_hw;
-    else if (key == "input_channels") fields >> out.input_channels;
-    else if (key == "num_classes") fields >> out.num_classes;
-    else if (key == "checkpoint") {
+    const std::vector<std::string_view> f = tokens_of(line);
+    const std::string_view key = f.empty() ? std::string_view() : f[0];
+    const std::string_view v = f.size() == 2 ? f[1] : std::string_view();
+    bool ok = f.size() == 2;
+    if (key == "model") out.model = v;
+    else if (key == "profile") out.profile = v;
+    else if (key == "input_hw") ok = util::parse_int(v, &out.input_hw, 0, kMaxExtent);
+    else if (key == "input_channels") ok = util::parse_int(v, &out.input_channels, 0, kMaxExtent);
+    else if (key == "num_classes") ok = util::parse_int(v, &out.num_classes, 0, kMaxExtent);
+    else if (key == "noise_seed") ok = util::parse_int(v, &out.noise_seed);
+    else if (key == "baseline_accuracy") ok = util::parse_real(v, &out.baseline_accuracy);
+    else if (key == "checkpoint" && f.size() >= 2) {
       // Rest of the line: checkpoint paths may contain spaces.
-      std::getline(fields >> std::ws, out.checkpoint);
-    }
-    else if (key == "noise_seed") fields >> out.noise_seed;
-    else if (key == "baseline_accuracy") fields >> out.baseline_accuracy;
-    else if (key == "site") {
+      out.checkpoint = line.substr(static_cast<std::size_t>(f[1].data() - line.data()));
+      ok = true;
+    } else if (key == "site" && f.size() == 7) {
+      // NaN/Inf noise would propagate straight into every served batch of
+      // the designed variant; the number rule refuses it.
       ManifestSite s;
-      std::string kind_token;
-      fields >> s.site.layer >> kind_token >> s.component >> s.nm >> s.na >>
-          s.tolerable_nm;
-      if (!op_kind_from_token(kind_token, s.site.kind)) return false;
-      if (s.component == "-") s.component.clear();
-      if (fields.fail()) return false;
+      s.site.layer = f[1];
+      if (f[3] != "-") s.component = f[3];
+      ok = op_kind_from_token(std::string(f[2]), s.site.kind) &&
+           util::parse_real(f[4], &s.nm) && util::parse_real(f[5], &s.na) &&
+           util::parse_real(f[6], &s.tolerable_nm);
       out.sites.push_back(std::move(s));
     } else {
-      return false;  // Unknown key: refuse rather than silently drop config.
+      ok = false;  // Unknown key: refuse rather than silently drop config.
     }
-    if (fields.fail()) return false;
+    if (!ok) return false;
   }
   return valid_manifest(out);
 }
@@ -164,14 +169,9 @@ bool save_manifest(const DeploymentManifest& m, const std::string& path) {
 }
 
 bool load_manifest(const std::string& path, DeploymentManifest& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return manifest_from_text(text, out);
+  std::vector<std::uint8_t> bytes;
+  return util::read_file(path, kMaxManifestBytes, &bytes) &&
+         manifest_from_text(std::string(bytes.begin(), bytes.end()), out);
 }
 
 }  // namespace redcane::core

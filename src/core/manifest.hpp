@@ -63,11 +63,11 @@ struct DeploymentManifest {
 /// Renders a manifest as "redcane-manifest v1" text.
 [[nodiscard]] std::string manifest_to_text(const DeploymentManifest& m);
 
-/// Parses manifest text into `out`. Returns false (leaving `out`
-/// unspecified) on a bad version line, unknown kind token, malformed
-/// site/header line, non-finite noise/accuracy field, duplicate
-/// (layer, kind) site entry, or an out-of-range geometry count — a bad
-/// manifest must never construct a broken registry.
+/// Parses manifest text into `out`: each key takes exactly its own tokens
+/// (`checkpoint` the rest of its line), numbers follow util/parse's rule.
+/// Returns false (leaving `out` unspecified) on a bad version line, unknown
+/// key or kind token, bad token count or number, duplicate (layer, kind)
+/// site entry, or a geometry count outside [0, 2^16].
 [[nodiscard]] bool manifest_from_text(const std::string& text, DeploymentManifest& out);
 
 /// File wrappers over manifest_to_text / manifest_from_text.

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/workspace.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::core {
 namespace {
@@ -42,10 +43,8 @@ class StageRecorder final : public capsnet::PerturbationHook {
 
 int SweepEngine::resolve_threads(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("REDCANE_SWEEP_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
+  const char* env = std::getenv("REDCANE_SWEEP_THREADS");
+  if (int n = 0; env != nullptr && util::parse_int(env, &n, 1)) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

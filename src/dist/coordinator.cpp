@@ -223,7 +223,7 @@ struct Coordinator::Impl {
       const FrameStatus st =
           recv_frame(w->sock, static_cast<int>(cfg.handshake_timeout_ms), &type, &payload);
       HelloMsg hello;
-      WireReader r(payload.data(), payload.size());
+      util::ByteReader r(payload.data(), payload.size());
       if (st != FrameStatus::kOk || type != MsgType::kHello ||
           !decode_hello(r, &hello)) {
         std::lock_guard<std::mutex> lock(mu);
@@ -253,7 +253,7 @@ struct Coordinator::Impl {
         }
         if (!ack.accepted) counts[kWorkersRefused].add();
       }
-      WireWriter ww;
+      util::ByteWriter ww;
       encode_hello_ack(ww, ack);
       const bool sent = send_frame(w->sock, MsgType::kHelloAck, ww.bytes());
       if (!ack.accepted || !sent) {
@@ -288,7 +288,7 @@ struct Coordinator::Impl {
         }
       }
       if (have_assign) {
-        WireWriter ww;
+        util::ByteWriter ww;
         encode_assign(ww, to_send);
         if (!send_frame(w->sock, MsgType::kAssign, ww.bytes())) {
           std::lock_guard<std::mutex> lock(mu);
@@ -323,7 +323,7 @@ struct Coordinator::Impl {
 
       if (type == MsgType::kHeartbeat) {
         HeartbeatMsg hb;
-        WireReader r(payload.data(), payload.size());
+        util::ByteReader r(payload.data(), payload.size());
         if (!decode_heartbeat(r, &hb)) {
           std::lock_guard<std::mutex> lock(mu);
           counts[kCorruptFrames].add();
@@ -341,7 +341,7 @@ struct Coordinator::Impl {
         // its own clock. This thread is the only sender on this socket, so
         // no send ordering can interleave mid-frame. Best effort: a failed
         // send means the connection is dying and the next recv reports it.
-        WireWriter ww;
+        util::ByteWriter ww;
         encode_heartbeat_ack(ww, HeartbeatAckMsg{hb.t_send_us});
         (void)send_frame(w->sock, MsgType::kHeartbeatAck, ww.bytes());
         continue;
@@ -349,7 +349,7 @@ struct Coordinator::Impl {
       if (type != MsgType::kResult) continue;
 
       ResultMsg msg;
-      WireReader r(payload.data(), payload.size());
+      util::ByteReader r(payload.data(), payload.size());
       bool valid = decode_result(r, &msg);
       core::ShardOutcome& outcome = msg.outcome;
       std::size_t idx = 0;
@@ -631,7 +631,7 @@ Coordinator::Coordinator(CoordinatorConfig cfg, std::vector<core::SweepShard> sh
   for (std::size_t i = 0; i < impl_->shards.size(); ++i) {
     const core::SweepShard& s = impl_->shards[i];
     impl_->index_of_id[s.id] = i;
-    WireWriter w;
+    util::ByteWriter w;
     encode_attack_spec(w, s.spec);
     w.u8(static_cast<std::uint8_t>(s.backend));
     w.u32(static_cast<std::uint32_t>(s.bits));

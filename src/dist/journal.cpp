@@ -8,33 +8,16 @@
 #include <cstring>
 
 #include "dist/wire.hpp"
+#include "util/bytes.hpp"
 #include "util/crc32.hpp"
 
 namespace redcane::dist {
 namespace {
 
-constexpr char kMagic[4] = {'R', 'D', 'J', '1'};
+constexpr std::uint32_t kMagic = 0x314A4452;  // "RDJ1" as a little-endian u32.
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kHeaderSize = 4 + 4 + 8;
-/// Records beyond this are treated as torn (a corrupt length prefix must
-/// not trigger a giant allocation). Generous: a full Step-8 grid outcome
-/// is a few hundred bytes.
-constexpr std::uint32_t kMaxRecord = 16u << 20;
-
-bool read_exact(int fd, void* out, std::size_t n) {
-  char* p = static_cast<char*>(out);
-  while (n > 0) {
-    const ssize_t r = ::read(fd, p, n);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
+constexpr std::uint32_t kRecordHeaderSize = 4 + 4;
 
 bool write_exact(int fd, const void* data, std::size_t n) {
   const char* p = static_cast<const char*>(data);
@@ -48,26 +31,6 @@ bool write_exact(int fd, const void* data, std::size_t n) {
     n -= static_cast<std::size_t>(w);
   }
   return true;
-}
-
-void put_u32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace
@@ -99,11 +62,12 @@ bool Journal::open(const std::string& path, std::uint64_t job_hash,
 
   if (st.st_size == 0) {
     // Fresh journal: write and sync the header before any record.
-    std::uint8_t header[kHeaderSize];
-    std::memcpy(header, kMagic, 4);
-    put_u32(header + 4, kVersion);
-    put_u64(header + 8, job_hash);
-    if (!write_exact(fd_, header, sizeof(header)) || ::fsync(fd_) != 0) {
+    util::ByteWriter header;
+    header.u32(kMagic);
+    header.u32(kVersion);
+    header.u64(job_hash);
+    if (!write_exact(fd_, header.bytes().data(), header.bytes().size()) ||
+        ::fsync(fd_) != 0) {
       if (error) *error = "journal header write " + path + ": " + std::strerror(errno);
       close_now();
       return false;
@@ -112,15 +76,18 @@ bool Journal::open(const std::string& path, std::uint64_t job_hash,
   }
 
   stats_.existed = true;
-  std::uint8_t header[kHeaderSize];
-  if (st.st_size < static_cast<off_t>(kHeaderSize) ||
-      !read_exact(fd_, header, sizeof(header)) ||
-      std::memcmp(header, kMagic, 4) != 0 || get_u32(header + 4) != kVersion) {
+  // Parsed in memory: a record longer than the bytes left allocates nothing.
+  std::vector<std::uint8_t> file;
+  const bool read = util::read_file(path, static_cast<std::size_t>(st.st_size), &file);
+  util::ByteReader h(file.data(), file.size());
+  std::uint32_t magic = 0, version = 0;
+  std::uint64_t stored_hash = 0;
+  if (!read || !(h.u32(&magic) && h.u32(&version) && h.u64(&stored_hash)) ||
+      magic != kMagic || version != kVersion) {
     if (error) *error = "journal " + path + ": not a v1 run journal";
     close_now();
     return false;
   }
-  const std::uint64_t stored_hash = get_u64(header + 8);
   if (stored_hash != job_hash) {
     // Refuse, don't truncate: the file belongs to a different job and the
     // caller may still want it.
@@ -140,20 +107,16 @@ bool Journal::open(const std::string& path, std::uint64_t job_hash,
   // Scan records until the torn tail (if any).
   off_t good_end = kHeaderSize;
   while (true) {
-    std::uint8_t rec_header[8];
-    if (!read_exact(fd_, rec_header, sizeof(rec_header))) break;
-    const std::uint32_t len = get_u32(rec_header);
-    const std::uint32_t crc = get_u32(rec_header + 4);
-    if (len == 0 || len > kMaxRecord) break;
-    std::vector<std::uint8_t> payload(len);
-    if (!read_exact(fd_, payload.data(), payload.size())) break;
-    if (util::crc32(payload.data(), payload.size()) != crc) break;
+    const std::uint8_t* at = file.data() + good_end;
+    util::ByteReader rh(at, file.size() - static_cast<std::size_t>(good_end));
+    std::uint32_t len = 0, crc = 0;
+    if (!(rh.u32(&len) && rh.u32(&crc)) || len == 0 || len > rh.remaining()) break;
+    util::ByteReader r(at + kRecordHeaderSize, len);
     core::ShardOutcome outcome;
-    WireReader r(payload.data(), payload.size());
-    if (!decode_outcome(r, &outcome)) break;
+    if (util::crc32(at + kRecordHeaderSize, len) != crc || !decode_outcome(r, &outcome)) break;
     if (recovered) recovered->push_back(std::move(outcome));
     ++stats_.records_loaded;
-    good_end += static_cast<off_t>(sizeof(rec_header) + len);
+    good_end += static_cast<off_t>(kRecordHeaderSize + len);
   }
 
   if (good_end < st.st_size) {
@@ -174,14 +137,14 @@ bool Journal::open(const std::string& path, std::uint64_t job_hash,
 
 bool Journal::append(const core::ShardOutcome& outcome) {
   if (fd_ < 0) return false;
-  WireWriter w;
-  encode_outcome(w, outcome);
-  const std::vector<std::uint8_t>& payload = w.bytes();
-  std::uint8_t rec_header[8];
-  put_u32(rec_header, static_cast<std::uint32_t>(payload.size()));
-  put_u32(rec_header + 4, util::crc32(payload.data(), payload.size()));
-  if (!write_exact(fd_, rec_header, sizeof(rec_header)) ||
-      !write_exact(fd_, payload.data(), payload.size()) || ::fsync(fd_) != 0) {
+  util::ByteWriter payload;
+  encode_outcome(payload, outcome);
+  const std::vector<std::uint8_t>& p = payload.bytes();
+  util::ByteWriter header;
+  header.u32(static_cast<std::uint32_t>(p.size()));
+  header.u32(util::crc32(p.data(), p.size()));
+  if (!write_exact(fd_, header.bytes().data(), header.bytes().size()) ||
+      !write_exact(fd_, p.data(), p.size()) || ::fsync(fd_) != 0) {
     // A half-written record is exactly the torn tail load() recovers from.
     close_now();
     return false;

@@ -13,9 +13,9 @@
 // *bitwise* identical to the uninterrupted run.
 //
 // A crash can tear only the last record (appends are sequential and
-// fsync'd). load() therefore scans until the first short/corrupt/oversize
-// record, truncates the file back to the last good byte, and reports the
-// torn bytes — the interrupted shard simply re-runs. A journal whose
+// fsync'd). load() therefore scans until the first short/corrupt record,
+// truncates the file back to the last good byte, and reports the torn
+// bytes — the interrupted shard simply re-runs. A journal whose
 // job_hash does not match refuses to load: resuming a different grid
 // geometry or different weights would splice unrelated accuracies into
 // the curves.

@@ -11,87 +11,17 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "util/crc32.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::dist {
 
-// ---- payload primitives ----------------------------------------------
-
-void WireWriter::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void WireWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void WireWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-bool WireReader::take(void* out, std::size_t n) {
-  if (!ok_ || size_ - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(out, data_ + pos_, n);
-  pos_ += n;
-  return true;
-}
-
-bool WireReader::u8(std::uint8_t* v) { return take(v, 1); }
-
-bool WireReader::u32(std::uint32_t* v) {
-  std::uint8_t b[4];
-  if (!take(b, 4)) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return true;
-}
-
-bool WireReader::u64(std::uint64_t* v) {
-  std::uint8_t b[8];
-  if (!take(b, 8)) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return true;
-}
-
-bool WireReader::f64(double* v) {
-  std::uint64_t bits = 0;
-  if (!u64(&bits)) return false;
-  std::memcpy(v, &bits, sizeof(bits));
-  return true;
-}
-
-bool WireReader::str(std::string* s) {
-  std::uint32_t n = 0;
-  if (!u32(&n)) return false;
-  if (size_ - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return true;
-}
-
 // ---- domain encodings ------------------------------------------------
 
-void encode_attack_spec(WireWriter& w, const attack::AttackSpec& s) {
+void encode_attack_spec(util::ByteWriter& w, const attack::AttackSpec& s) {
   w.u8(static_cast<std::uint8_t>(s.kind));
   w.f64(s.epsilon);
   w.u32(static_cast<std::uint32_t>(s.steps));
@@ -104,7 +34,7 @@ void encode_attack_spec(WireWriter& w, const attack::AttackSpec& s) {
   w.f64(s.margin.lambda);
 }
 
-bool decode_attack_spec(WireReader& r, attack::AttackSpec* s) {
+bool decode_attack_spec(util::ByteReader& r, attack::AttackSpec* s) {
   std::uint8_t kind = 0;
   std::uint32_t steps = 0;
   bool ok = r.u8(&kind) && r.f64(&s->epsilon) && r.u32(&steps) &&
@@ -134,11 +64,7 @@ constexpr std::size_t kMinRuleBytes = 3 + 4 + 8 + 8;  ///< Flags, empty layer, n
 constexpr std::size_t kMinPointBytes = 4 + 8;         ///< Rule count, salt.
 constexpr std::size_t kAccBytes = 8;                  ///< One f64.
 
-bool count_fits(const WireReader& r, std::uint32_t n, std::size_t entry_bytes) {
-  return n <= r.remaining() / entry_bytes;
-}
-
-void encode_rule(WireWriter& w, const noise::InjectionRule& rule) {
+void encode_rule(util::ByteWriter& w, const noise::InjectionRule& rule) {
   w.u8(rule.kind.has_value() ? 1 : 0);
   w.u8(rule.kind.has_value() ? static_cast<std::uint8_t>(*rule.kind) : 0);
   w.u8(rule.layer.has_value() ? 1 : 0);
@@ -147,13 +73,18 @@ void encode_rule(WireWriter& w, const noise::InjectionRule& rule) {
   w.f64(rule.noise.na);
 }
 
-bool decode_rule(WireReader& r, noise::InjectionRule* rule) {
+bool decode_rule(util::ByteReader& r, noise::InjectionRule* rule) {
   std::uint8_t has_kind = 0, kind = 0, has_layer = 0;
   std::string layer;
   bool ok = r.u8(&has_kind) && r.u8(&kind) && r.u8(&has_layer) && r.str(&layer) &&
             r.f64(&rule->noise.nm) && r.f64(&rule->noise.na);
   if (!ok) return false;
   if (kind > static_cast<std::uint8_t>(capsnet::OpKind::kLogitsUpdate)) return false;
+  // Canonical: flags are 0/1, and an unset field carries encode_rule's
+  // placeholder (kind 0, empty layer), not a value the decoder would drop.
+  if (has_kind > 1 || has_layer > 1 || (has_kind == 0 && kind != 0) ||
+      (has_layer == 0 && !layer.empty()))
+    return false;
   rule->kind = has_kind != 0
                    ? std::optional<capsnet::OpKind>(static_cast<capsnet::OpKind>(kind))
                    : std::nullopt;
@@ -162,15 +93,15 @@ bool decode_rule(WireReader& r, noise::InjectionRule* rule) {
   return true;
 }
 
-void encode_point(WireWriter& w, const core::SweepPointSpec& p) {
+void encode_point(util::ByteWriter& w, const core::SweepPointSpec& p) {
   w.u32(static_cast<std::uint32_t>(p.rules.size()));
   for (const noise::InjectionRule& rule : p.rules) encode_rule(w, rule);
   w.u64(p.salt);
 }
 
-bool decode_point(WireReader& r, core::SweepPointSpec* p) {
+bool decode_point(util::ByteReader& r, core::SweepPointSpec* p) {
   std::uint32_t n = 0;
-  if (!r.u32(&n) || !count_fits(r, n, kMinRuleBytes)) return false;
+  if (!r.count(kMinRuleBytes, &n)) return false;
   p->rules.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!decode_rule(r, &p->rules[i])) return false;
@@ -180,60 +111,61 @@ bool decode_point(WireReader& r, core::SweepPointSpec* p) {
 
 }  // namespace
 
-void encode_hello(WireWriter& w, const HelloMsg& m) {
+void encode_hello(util::ByteWriter& w, const HelloMsg& m) {
   w.u32(m.proto);
   w.u64(m.job_hash);
   w.str(m.name);
 }
 
-bool decode_hello(WireReader& r, HelloMsg* m) {
+bool decode_hello(util::ByteReader& r, HelloMsg* m) {
   return r.u32(&m->proto) && r.u64(&m->job_hash) && r.str(&m->name) && r.done();
 }
 
-void encode_hello_ack(WireWriter& w, const HelloAckMsg& m) {
+void encode_hello_ack(util::ByteWriter& w, const HelloAckMsg& m) {
   w.u8(m.accepted ? 1 : 0);
   w.u32(m.worker_id);
   w.str(m.reason);
 }
 
-bool decode_hello_ack(WireReader& r, HelloAckMsg* m) {
+bool decode_hello_ack(util::ByteReader& r, HelloAckMsg* m) {
   std::uint8_t accepted = 0;
-  if (!(r.u8(&accepted) && r.u32(&m->worker_id) && r.str(&m->reason) && r.done()))
+  if (!(r.u8(&accepted) && r.u32(&m->worker_id) && r.str(&m->reason) && r.done()) ||
+      accepted > 1)
     return false;
   m->accepted = accepted != 0;
   return true;
 }
 
-void encode_heartbeat(WireWriter& w, const HeartbeatMsg& m) {
+void encode_heartbeat(util::ByteWriter& w, const HeartbeatMsg& m) {
   w.u64(m.shards_done);
   w.u64(m.t_send_us);
   w.u64(m.last_rtt_us);
 }
 
-bool decode_heartbeat(WireReader& r, HeartbeatMsg* m) {
+bool decode_heartbeat(util::ByteReader& r, HeartbeatMsg* m) {
   return r.u64(&m->shards_done) && r.u64(&m->t_send_us) &&
          r.u64(&m->last_rtt_us) && r.done();
 }
 
-void encode_heartbeat_ack(WireWriter& w, const HeartbeatAckMsg& m) {
+void encode_heartbeat_ack(util::ByteWriter& w, const HeartbeatAckMsg& m) {
   w.u64(m.t_echo_us);
 }
 
-bool decode_heartbeat_ack(WireReader& r, HeartbeatAckMsg* m) {
+bool decode_heartbeat_ack(util::ByteReader& r, HeartbeatAckMsg* m) {
   return r.u64(&m->t_echo_us) && r.done();
 }
 
-void encode_assign(WireWriter& w, const AssignMsg& m) {
+void encode_assign(util::ByteWriter& w, const AssignMsg& m) {
   w.u64(m.trace_id);
   encode_shard(w, m.shard);
 }
 
-bool decode_assign(WireReader& r, AssignMsg* m) {
+bool decode_assign(util::ByteReader& r, AssignMsg* m) {
   // decode_shard consumes the remainder and enforces done().
   return r.u64(&m->trace_id) && decode_shard(r, &m->shard);
 }
 
-void encode_result(WireWriter& w, const ResultMsg& m) {
+void encode_result(util::ByteWriter& w, const ResultMsg& m) {
   w.u64(m.trace_id);
   w.u64(m.exec_us);
   w.u64(m.base_us);
@@ -242,14 +174,14 @@ void encode_result(WireWriter& w, const ResultMsg& m) {
   encode_outcome(w, m.outcome);
 }
 
-bool decode_result(WireReader& r, ResultMsg* m) {
+bool decode_result(util::ByteReader& r, ResultMsg* m) {
   // decode_outcome consumes the remainder and enforces done().
   return r.u64(&m->trace_id) && r.u64(&m->exec_us) && r.u64(&m->base_us) &&
          r.u64(&m->points_us) && r.u64(&m->rtt_us) &&
          decode_outcome(r, &m->outcome);
 }
 
-void encode_shard(WireWriter& w, const core::SweepShard& s) {
+void encode_shard(util::ByteWriter& w, const core::SweepShard& s) {
   w.u64(s.id);
   encode_attack_spec(w, s.spec);
   w.u8(static_cast<std::uint8_t>(s.backend));
@@ -259,14 +191,13 @@ void encode_shard(WireWriter& w, const core::SweepShard& s) {
   for (const core::SweepPointSpec& p : s.points) encode_point(w, p);
 }
 
-bool decode_shard(WireReader& r, core::SweepShard* s) {
+bool decode_shard(util::ByteReader& r, core::SweepShard* s) {
   std::uint8_t backend = 0;
   std::uint32_t bits = 0, npoints = 0;
   if (!(r.u64(&s->id) && decode_attack_spec(r, &s->spec) && r.u8(&backend) &&
-        r.str(&s->component) && r.u32(&bits) && r.u32(&npoints)))
+        r.str(&s->component) && r.u32(&bits) && r.count(kMinPointBytes, &npoints)))
     return false;
   if (backend > static_cast<std::uint8_t>(core::ShardBackend::kEmulated)) return false;
-  if (!count_fits(r, npoints, kMinPointBytes)) return false;
   s->backend = static_cast<core::ShardBackend>(backend);
   s->bits = static_cast<int>(bits);
   s->points.resize(npoints);
@@ -276,17 +207,16 @@ bool decode_shard(WireReader& r, core::SweepShard* s) {
   return r.done();
 }
 
-void encode_outcome(WireWriter& w, const core::ShardOutcome& o) {
+void encode_outcome(util::ByteWriter& w, const core::ShardOutcome& o) {
   w.u64(o.id);
   w.f64(o.base);
   w.u32(static_cast<std::uint32_t>(o.acc.size()));
   for (double a : o.acc) w.f64(a);
 }
 
-bool decode_outcome(WireReader& r, core::ShardOutcome* o) {
+bool decode_outcome(util::ByteReader& r, core::ShardOutcome* o) {
   std::uint32_t n = 0;
-  if (!(r.u64(&o->id) && r.f64(&o->base) && r.u32(&n))) return false;
-  if (!count_fits(r, n, kAccBytes)) return false;
+  if (!(r.u64(&o->id) && r.f64(&o->base) && r.count(kAccBytes, &n))) return false;
   o->acc.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!r.f64(&o->acc[i])) return false;
@@ -359,13 +289,10 @@ bool parse_addr(const std::string& addr, ParsedAddr* out, std::string* error) {
     }
     out->is_unix = false;
     out->host = rest.substr(0, colon);
-    char* end = nullptr;
-    const long port = std::strtol(rest.c_str() + colon + 1, &end, 10);
-    if (end == rest.c_str() + colon + 1 || *end != '\0' || port < 0 || port > 65535) {
+    if (!util::parse_int(std::string_view(rest).substr(colon + 1), &out->port)) {
       if (error) *error = "bad tcp port in '" + addr + "'";
       return false;
     }
-    out->port = static_cast<std::uint16_t>(port);
     return true;
   }
   if (error) *error = "address must start with unix: or tcp:, got '" + addr + "'";
@@ -536,11 +463,11 @@ bool send_frame_impl(const Socket& s, MsgType type,
   const std::uint8_t type_byte = static_cast<std::uint8_t>(type);
   crc = util::crc32_update(crc, &type_byte, 1);
   crc = util::crc32_update(crc, payload.data(), payload.size());
-  std::uint8_t header[9];
-  for (int i = 0; i < 4; ++i) header[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  for (int i = 0; i < 4; ++i) header[4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  header[8] = type_byte;
-  if (!send_all(s.fd(), header, sizeof(header))) return false;
+  util::ByteWriter header;
+  header.u32(len);
+  header.u32(crc);
+  header.u8(type_byte);
+  if (!send_all(s.fd(), header.bytes().data(), header.bytes().size())) return false;
   if (payload.empty()) return true;
   if (!corrupt) return send_all(s.fd(), payload.data(), payload.size());
   std::vector<std::uint8_t> dirty = payload;
@@ -568,9 +495,9 @@ FrameStatus recv_frame(const Socket& s, int timeout_ms, MsgType* type,
   FrameStatus st = recv_exact(s.fd(), header, sizeof(header), timeout_ms);
   if (st != FrameStatus::kOk) return st;
   std::uint32_t len = 0, crc = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-  if (len == 0 || len > kMaxFrame) return FrameStatus::kTooLarge;
+  util::ByteReader h(header, sizeof(header));
+  if (!(h.u32(&len) && h.u32(&crc)) || len == 0 || len > kMaxFrame)
+    return FrameStatus::kTooLarge;
   std::vector<std::uint8_t> body(len);
   // The sender already committed to this frame; a stall now is a wedged
   // peer, bounded by the same mid-read deadline recv_exact applies.

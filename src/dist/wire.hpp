@@ -11,11 +11,10 @@
 // drops the connection and the coordinator requeues whatever that worker
 // held.
 //
-// Payload encoding is explicit little-endian scalar writes (no struct
-// memcpy): u8/u32/u64, f64 as IEEE-754 bit pattern in a u64, strings as
-// u32 length + bytes. Doubles travel as bit patterns, not text, because
-// the determinism contract is *bitwise* grid equality between distributed
-// and in-process runs.
+// Payloads and frame headers go through util/bytes. Doubles travel as bit
+// patterns, not text, because the determinism contract is *bitwise* grid
+// equality between distributed and in-process runs. Decoders are
+// canonical: decode-then-encode reproduces any payload they accept.
 //
 // Message flow:
 //   worker -> Hello{proto, job_hash, name}  -> coordinator
@@ -44,6 +43,7 @@
 #include <vector>
 
 #include "core/sweep_plan.hpp"
+#include "util/bytes.hpp"
 
 namespace redcane::dist {
 
@@ -60,52 +60,6 @@ enum class MsgType : std::uint8_t {
   kHeartbeat = 5, ///< worker -> coord: liveness + shards_done + RTT probe.
   kShutdown = 6,  ///< coord -> worker: no more work, exit cleanly.
   kHeartbeatAck = 7,  ///< coord -> worker: echo of Heartbeat.t_send_us.
-};
-
-/// Append-only little-endian payload builder.
-class WireWriter {
- public:
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);  ///< IEEE-754 bit pattern via u64.
-  void str(const std::string& s);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked payload reader. Every getter returns false once any
-/// prior read failed (sticky), so decode functions can chain reads and
-/// check once.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] bool u8(std::uint8_t* v);
-  [[nodiscard]] bool u32(std::uint32_t* v);
-  [[nodiscard]] bool u64(std::uint64_t* v);
-  [[nodiscard]] bool f64(double* v);
-  [[nodiscard]] bool str(std::string* s);
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  /// Unread bytes. Decoders bound every count field by it before
-  /// allocating, so an inflated count cannot request more entries than
-  /// the payload could hold.
-  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
-  /// True when the payload was consumed exactly (trailing garbage is a
-  /// decode failure — it means the two sides disagree on the schema).
-  [[nodiscard]] bool done() const { return ok_ && pos_ == size_; }
-
- private:
-  [[nodiscard]] bool take(void* out, std::size_t n);
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
 };
 
 // ---- message payloads ------------------------------------------------
@@ -159,25 +113,25 @@ struct ResultMsg {
 /// Attack-spec codec, public because the coordinator also hashes the
 /// encoding as a shard's cache-affinity key (shards sharing a spec reuse
 /// a worker's attacked eval set).
-void encode_attack_spec(WireWriter& w, const attack::AttackSpec& s);
-[[nodiscard]] bool decode_attack_spec(WireReader& r, attack::AttackSpec* s);
+void encode_attack_spec(util::ByteWriter& w, const attack::AttackSpec& s);
+[[nodiscard]] bool decode_attack_spec(util::ByteReader& r, attack::AttackSpec* s);
 
-void encode_hello(WireWriter& w, const HelloMsg& m);
-[[nodiscard]] bool decode_hello(WireReader& r, HelloMsg* m);
-void encode_hello_ack(WireWriter& w, const HelloAckMsg& m);
-[[nodiscard]] bool decode_hello_ack(WireReader& r, HelloAckMsg* m);
-void encode_heartbeat(WireWriter& w, const HeartbeatMsg& m);
-[[nodiscard]] bool decode_heartbeat(WireReader& r, HeartbeatMsg* m);
-void encode_heartbeat_ack(WireWriter& w, const HeartbeatAckMsg& m);
-[[nodiscard]] bool decode_heartbeat_ack(WireReader& r, HeartbeatAckMsg* m);
-void encode_assign(WireWriter& w, const AssignMsg& m);
-[[nodiscard]] bool decode_assign(WireReader& r, AssignMsg* m);
-void encode_result(WireWriter& w, const ResultMsg& m);
-[[nodiscard]] bool decode_result(WireReader& r, ResultMsg* m);
-void encode_shard(WireWriter& w, const core::SweepShard& s);
-[[nodiscard]] bool decode_shard(WireReader& r, core::SweepShard* s);
-void encode_outcome(WireWriter& w, const core::ShardOutcome& o);
-[[nodiscard]] bool decode_outcome(WireReader& r, core::ShardOutcome* o);
+void encode_hello(util::ByteWriter& w, const HelloMsg& m);
+[[nodiscard]] bool decode_hello(util::ByteReader& r, HelloMsg* m);
+void encode_hello_ack(util::ByteWriter& w, const HelloAckMsg& m);
+[[nodiscard]] bool decode_hello_ack(util::ByteReader& r, HelloAckMsg* m);
+void encode_heartbeat(util::ByteWriter& w, const HeartbeatMsg& m);
+[[nodiscard]] bool decode_heartbeat(util::ByteReader& r, HeartbeatMsg* m);
+void encode_heartbeat_ack(util::ByteWriter& w, const HeartbeatAckMsg& m);
+[[nodiscard]] bool decode_heartbeat_ack(util::ByteReader& r, HeartbeatAckMsg* m);
+void encode_assign(util::ByteWriter& w, const AssignMsg& m);
+[[nodiscard]] bool decode_assign(util::ByteReader& r, AssignMsg* m);
+void encode_result(util::ByteWriter& w, const ResultMsg& m);
+[[nodiscard]] bool decode_result(util::ByteReader& r, ResultMsg* m);
+void encode_shard(util::ByteWriter& w, const core::SweepShard& s);
+[[nodiscard]] bool decode_shard(util::ByteReader& r, core::SweepShard* s);
+void encode_outcome(util::ByteWriter& w, const core::ShardOutcome& o);
+[[nodiscard]] bool decode_outcome(util::ByteReader& r, core::ShardOutcome* o);
 
 // ---- sockets ---------------------------------------------------------
 

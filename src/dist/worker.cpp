@@ -25,7 +25,7 @@ void sleep_us(std::int64_t us) {
 /// flipped on the wire — the coordinator's checksum check must fire).
 bool send_result(const Socket& sock, std::mutex& send_mu,
                  const ResultMsg& result) {
-  WireWriter w;
+  util::ByteWriter w;
   encode_result(w, result);
   bool corrupt = false;
   if (fault::armed()) {
@@ -70,7 +70,7 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
 
   // Handshake.
   {
-    WireWriter w;
+    util::ByteWriter w;
     HelloMsg hello;
     hello.proto = kProtoVersion;
     hello.job_hash = cfg.job_hash;
@@ -84,7 +84,7 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
     std::vector<std::uint8_t> payload;
     const FrameStatus st = recv_frame(sock, 5000, &type, &payload);
     HelloAckMsg ack;
-    WireReader r(payload.data(), payload.size());
+    util::ByteReader r(payload.data(), payload.size());
     if (st != FrameStatus::kOk || type != MsgType::kHelloAck ||
         !decode_hello_ack(r, &ack)) {
       stats.error = std::string("handshake failed: ") + frame_status_name(st);
@@ -112,7 +112,7 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
         sleep_us(plan->heartbeat_delay_us());
         if (plan->drop_heartbeat()) continue;
       }
-      WireWriter w;
+      util::ByteWriter w;
       HeartbeatMsg hb;
       hb.shards_done = shards_done.load(std::memory_order_relaxed);
       // RTT probe: the coordinator echoes this stamp in a HeartbeatAck;
@@ -140,7 +140,7 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
     if (type == MsgType::kShutdown) break;
     if (type == MsgType::kHeartbeatAck) {
       HeartbeatAckMsg ack;
-      WireReader r(payload.data(), payload.size());
+      util::ByteReader r(payload.data(), payload.size());
       if (decode_heartbeat_ack(r, &ack)) {
         const std::uint64_t now = obs::trace_now_us();
         if (now >= ack.t_echo_us) {
@@ -153,7 +153,7 @@ WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
     if (type != MsgType::kAssign) continue;  // Ignore unexpected-but-valid frames.
 
     AssignMsg assign;
-    WireReader r(payload.data(), payload.size());
+    util::ByteReader r(payload.data(), payload.size());
     if (!decode_assign(r, &assign)) {
       stats.error = "undecodable assignment";
       break;

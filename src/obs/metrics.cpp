@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 
+#include "util/bytes.hpp"
+
 namespace redcane::obs {
 namespace {
 
@@ -196,15 +198,10 @@ std::string Registry::exposition() const {
 }
 
 bool Registry::write_text(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot open metrics file %s\n", path.c_str());
-    return false;
-  }
   const std::string text = exposition();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
+  if (util::write_file(path, text.data(), text.size())) return true;
+  std::fprintf(stderr, "obs: cannot write metrics file %s\n", path.c_str());
+  return false;
 }
 
 namespace {

@@ -8,6 +8,8 @@
 #include <set>
 #include <utility>
 
+#include "util/bytes.hpp"
+
 namespace redcane::obs {
 namespace {
 
@@ -226,11 +228,6 @@ std::uint64_t trace_buffered() {
 
 bool trace_write_chrome(const std::string& path) {
   const std::vector<TraceEvent> events = trace_drain();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot open trace file %s\n", path.c_str());
-    return false;
-  }
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   {
@@ -271,9 +268,9 @@ bool trace_write_chrome(const std::string& path) {
     out += '}';
   }
   out += "],\"displayTimeUnit\":\"ms\"}\n";
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  return true;
+  if (util::write_file(path, out.data(), out.size())) return true;
+  std::fprintf(stderr, "obs: cannot write trace file %s\n", path.c_str());
+  return false;
 }
 
 void trace_reset_for_test() {

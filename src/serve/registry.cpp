@@ -1,7 +1,9 @@
 #include "serve/registry.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <mutex>
+#include <optional>
 
 #include "capsnet/capsnet_model.hpp"
 #include "capsnet/deepcaps_model.hpp"
@@ -14,25 +16,42 @@ namespace {
 
 /// Rebuilds the manifest's architecture: profile base config with the
 /// manifest's input/class overrides. Weights are placeholder (the caller
-/// loads the checkpoint); the Rng seed is therefore irrelevant.
-std::unique_ptr<capsnet::CapsModel> build_model(const core::DeploymentManifest& m) {
+/// loads the checkpoint); the Rng seed is therefore irrelevant. The
+/// config's shapes are walked before anything is allocated: a geometry with
+/// an empty layer output, or whose parameters need more bytes than the
+/// checkpoint file holds, is refused. A checkpoint must hold every
+/// parameter, so the bytes from outside bound the allocation.
+template <typename Model, typename Config>
+std::unique_ptr<capsnet::CapsModel> build_checked(Config cfg, const core::DeploymentManifest& m,
+                                                  std::uint64_t ckpt_bytes) {
+  if (m.input_hw > 0) cfg.input_hw = m.input_hw;
+  if (m.input_channels > 0) cfg.input_channels = m.input_channels;
+  if (m.num_classes > 0) cfg.num_classes = m.num_classes;
+  const std::optional<capsnet::ParamLayout> layout = cfg.param_layout();
+  if (!layout || capsnet::checkpoint_bytes(*layout) > ckpt_bytes) {
+    std::fprintf(stderr,
+                 "serve: %s geometry has an empty layer or needs more than the "
+                 "checkpoint's %llu bytes\n",
+                 m.model.c_str(), static_cast<unsigned long long>(ckpt_bytes));
+    return nullptr;
+  }
   Rng rng(1);
+  return std::make_unique<Model>(cfg, rng);
+}
+
+std::unique_ptr<capsnet::CapsModel> build_model(const core::DeploymentManifest& m,
+                                                std::uint64_t ckpt_bytes) {
+  const bool paper = m.profile == "paper";
   if (m.model == "CapsNet") {
-    capsnet::CapsNetConfig cfg = m.profile == "paper" ? capsnet::CapsNetConfig::paper()
-                                                      : capsnet::CapsNetConfig::tiny();
-    if (m.input_hw > 0) cfg.input_hw = m.input_hw;
-    if (m.input_channels > 0) cfg.input_channels = m.input_channels;
-    if (m.num_classes > 0) cfg.num_classes = m.num_classes;
-    return std::make_unique<capsnet::CapsNetModel>(cfg, rng);
+    return build_checked<capsnet::CapsNetModel>(
+        paper ? capsnet::CapsNetConfig::paper() : capsnet::CapsNetConfig::tiny(), m, ckpt_bytes);
   }
   if (m.model == "DeepCaps") {
-    capsnet::DeepCapsConfig cfg = m.profile == "paper" ? capsnet::DeepCapsConfig::paper()
-                                                       : capsnet::DeepCapsConfig::tiny();
-    if (m.input_hw > 0) cfg.input_hw = m.input_hw;
-    if (m.input_channels > 0) cfg.input_channels = m.input_channels;
-    if (m.num_classes > 0) cfg.num_classes = m.num_classes;
-    return std::make_unique<capsnet::DeepCapsModel>(cfg, rng);
+    return build_checked<capsnet::DeepCapsModel>(
+        paper ? capsnet::DeepCapsConfig::paper() : capsnet::DeepCapsConfig::tiny(), m,
+        ckpt_bytes);
   }
+  std::fprintf(stderr, "serve: unknown model '%s'\n", m.model.c_str());
   return nullptr;
 }
 
@@ -71,12 +90,6 @@ std::unique_ptr<ModelRegistry> ModelRegistry::open(const std::string& manifest_p
     std::fprintf(stderr, "serve: cannot load manifest %s\n", manifest_path.c_str());
     return nullptr;
   }
-  std::unique_ptr<capsnet::CapsModel> model = build_model(m);
-  if (model == nullptr) {
-    std::fprintf(stderr, "serve: unknown model '%s' in %s\n", m.model.c_str(),
-                 manifest_path.c_str());
-    return nullptr;
-  }
   if (m.checkpoint.empty()) {
     std::fprintf(stderr, "serve: manifest %s names no checkpoint\n",
                  manifest_path.c_str());
@@ -85,6 +98,14 @@ std::unique_ptr<ModelRegistry> ModelRegistry::open(const std::string& manifest_p
   const std::string ckpt = m.checkpoint.front() == '/'
                                ? m.checkpoint
                                : dir_of(manifest_path) + m.checkpoint;
+  std::error_code ec;
+  const std::uintmax_t ckpt_bytes = std::filesystem::file_size(ckpt, ec);
+  if (ec) {
+    std::fprintf(stderr, "serve: cannot stat checkpoint %s\n", ckpt.c_str());
+    return nullptr;
+  }
+  std::unique_ptr<capsnet::CapsModel> model = build_model(m, ckpt_bytes);
+  if (model == nullptr) return nullptr;
   if (!load_checkpoint(*model, ckpt)) {
     std::fprintf(stderr, "serve: cannot load checkpoint %s\n", ckpt.c_str());
     return nullptr;

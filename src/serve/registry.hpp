@@ -72,13 +72,16 @@ class ModelRegistry {
   /// Loads a manifest file, rebuilds its model (profile config + input
   /// overrides), loads the checkpoint (resolved relative to the manifest's
   /// directory), and audits the const-forward contract with a zero probe.
+  /// Before the rebuild, the config's shapes are walked without
+  /// allocating: a geometry with an empty layer, or whose parameters need
+  /// more bytes than the checkpoint file holds, is refused.
   /// Returns nullptr (with a stderr note) on any failure. The checkpoint
   /// read honors the armed fault plan (util/fault.hpp): a corruption
   /// fault loads a truncated copy, which load_params rejects.
   static std::unique_ptr<ModelRegistry> open(const std::string& manifest_path);
 
   /// Hot manifest reload: revalidates `manifest_path` through the full
-  /// open() path (parse, rebuild, checkpoint load, const-forward audit,
+  /// open() path (parse, geometry, rebuild, checkpoint load, const-forward audit,
   /// matching input shape), then atomically swaps model+manifest+variants
   /// under the write lock. On ANY failure the registry keeps serving the
   /// previous model and returns false — rollback is simply never swapping.

@@ -14,6 +14,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "util/fault.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::serve {
 
@@ -31,10 +32,8 @@ const obs::CounterTable<ServerStats, InferenceServer::kCounts> InferenceServer::
 
 int InferenceServer::resolve_workers(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("REDCANE_SERVE_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
+  const char* env = std::getenv("REDCANE_SERVE_THREADS");
+  if (int n = 0; env != nullptr && util::parse_int(env, &n, 1)) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -1,12 +1,13 @@
 #include "util/fault.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <utility>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/hash.hpp"
+#include "util/parse.hpp"
 
 namespace redcane::fault {
 namespace {
@@ -96,47 +97,27 @@ ScopedFaultPlan::~ScopedFaultPlan() {
 
 bool parse_spec(const std::string& spec, FaultConfig& out) {
   out = FaultConfig{};
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
-    if (key == "kill_name") {  // The one string-valued key.
-      if (val.empty()) return false;
-      out.kill_worker_name = val;
-      continue;
-    }
-    char* end = nullptr;
-    const double num = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0' || !std::isfinite(num)) return false;
-
-    // Range-checked stores: a value outside its field is rejected, never
-    // cast (a float-to-integer cast out of range is undefined behavior).
-    const bool whole = num >= 0.0 && num == std::floor(num);
-    const auto prob = [&](double& field) {
-      field = num;
-      return num >= 0.0 && num <= 1.0;
+  std::vector<std::pair<std::string_view, std::string_view>> items;
+  if (!util::split_key_values(spec, &items)) return false;
+  for (const auto& [key, val] : items) {
+    // Range-checked stores under util/parse's number rule: a value outside
+    // its field is rejected, never cast.
+    const auto prob = [val](double& field) {
+      return util::parse_real(val, &field) && field >= 0.0 && field <= 1.0;
     };
-    const auto integer = [&](std::int64_t& field) {
-      if (!whole || num >= 0x1p63) return false;
-      field = static_cast<std::int64_t>(num);
-      return true;
-    };
-    const auto flag = [&](bool& field) {
-      field = num != 0.0;
-      return num == 0.0 || num == 1.0;
+    const auto integer = [val](std::int64_t& field) { return util::parse_int(val, &field, 0); };
+    const auto flag = [val](bool& field) {
+      int v = 0;
+      const bool ok = util::parse_int(val, &v, 0, 1);
+      field = v == 1;
+      return ok;
     };
     bool ok = false;
-    if (key == "seed") {
-      ok = whole && num < 0x1p64;
-      if (ok) out.seed = static_cast<std::uint64_t>(num);
-    } else if (key == "stall") ok = prob(out.worker_stall_prob);
+    if (key == "kill_name") {  // The one string-valued key.
+      out.kill_worker_name = val;
+      ok = !val.empty();
+    } else if (key == "seed") ok = util::parse_int(val, &out.seed);
+    else if (key == "stall") ok = prob(out.worker_stall_prob);
     else if (key == "stall_us") ok = integer(out.worker_stall_us);
     else if (key == "backend") ok = prob(out.backend_fail_prob);
     else if (key == "ckpt") ok = prob(out.checkpoint_corrupt_prob);
@@ -156,23 +137,15 @@ bool parse_spec(const std::string& spec, FaultConfig& out) {
 
 bool write_truncated_copy(const std::string& src, const std::string& dst,
                           std::uint64_t seed) {
-  std::FILE* in = std::fopen(src.c_str(), "rb");
-  if (in == nullptr) return false;
-  std::vector<char> bytes;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) bytes.insert(bytes.end(), buf, buf + n);
-  std::fclose(in);
-  if (bytes.empty()) return false;
+  std::vector<std::uint8_t> bytes;
+  if (!util::read_file(src, std::numeric_limits<std::size_t>::max(), &bytes) ||
+      bytes.empty())
+    return false;
   // Strictly inside the file: at least one byte is always missing, so a
   // length-validating parser (capsnet::load_params) is guaranteed to
   // reject the copy.
   const std::size_t cut = static_cast<std::size_t>(util::splitmix64(seed) % bytes.size());
-  std::FILE* outf = std::fopen(dst.c_str(), "wb");
-  if (outf == nullptr) return false;
-  const bool ok = cut == 0 || std::fwrite(bytes.data(), 1, cut, outf) == cut;
-  std::fclose(outf);
-  return ok;
+  return util::write_file(dst, bytes.data(), cut);
 }
 
 }  // namespace redcane::fault

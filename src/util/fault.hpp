@@ -21,9 +21,9 @@
 // the chaos bench segment, and via the REDCANE_FAULTS env spec.
 //
 // Spec grammar (comma-separated key=value, e.g. for REDCANE_FAULTS or
-// redcane_serve --faults). Values must be finite; probabilities lie in
-// [0, 1], flags are 0 or 1, and counts and durations are non-negative
-// integers that fit their field:
+// redcane_serve --faults), read by util/parse's rules. Probabilities lie
+// in [0, 1], flags are 0 or 1, and the seed, counts and durations are
+// exact decimal integers that fit their field (non-negative int64):
 //   seed=N        decision-stream seed                     (default 1)
 //   stall=P       worker stall probability per batch       (default 0)
 //   stall_us=N    stall duration [us]                      (default 2000)

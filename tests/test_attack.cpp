@@ -280,12 +280,19 @@ TEST(Attack, SpecParserAcceptsGrammarAndRejectsMalformedInput) {
   EXPECT_DOUBLE_EQ(spec.severity, 15.0);
   ASSERT_TRUE(parse_attack_spec("translate:px=2", &spec, &error));
   ASSERT_TRUE(parse_attack_spec("scale:factor=1.2", &spec, &error));
+  ASSERT_TRUE(parse_attack_spec("pgd:eps=1e-1,steps=2147483647,step=.5", &spec, &error));
+  EXPECT_EQ(spec.steps, 2147483647);
 
   for (const char* bad :
        {"", "fgsm", "fgsm:", "fgsm:eps=abc", "fgsm:eps=0", "fgsm:eps=-1",
         "fgsm:eps=0.1,bogus=2", "warp:deg=5", "pgd:eps=0.1,steps=0",
         "pgd:eps=0.1,steps=1.5", "rotate:deg=1deg", "scale:factor=0", "none:x=1",
-        "translate:=2", "rotate:deg", "pgd:eps=0.1,steps=1e12", "fgsm:eps=nan"}) {
+        "translate:=2", "rotate:deg", "pgd:eps=0.1,steps=1e12", "fgsm:eps=nan",
+        // util/parse's rules: whole tokens (no '+', whitespace or hex), finite
+        // values, an exact integer `steps`, no empty items.
+        "pgd:eps=0.1,steps=5.0", "pgd:eps=0.1,steps=+5", "fgsm:eps=+0.1", "fgsm:eps= 0.1",
+        "fgsm:eps=0.1 ", "fgsm:eps=0x1p-3", "fgsm:eps=0.1,", "fgsm:,eps=0.1", "fgsm:eps=1e400",
+        "rotate:deg=inf", "pgd:eps=0.1,steps=2147483648"}) {
     error.clear();
     EXPECT_FALSE(parse_attack_spec(bad, &spec, &error)) << "accepted '" << bad << "'";
     EXPECT_FALSE(error.empty()) << "no error message for '" << bad << "'";

@@ -411,6 +411,12 @@ TEST(Chaos, FaultSpecParses) {
   EXPECT_TRUE(fc.force_queue_full);
   EXPECT_TRUE(fc.force_pressure);
 
+  // The seed is an exact u64: 2^53 + 1 is not rounded through a double.
+  ASSERT_TRUE(fault::parse_spec("seed=9007199254740993,kill_after=3,kill_name=w1", fc));
+  EXPECT_EQ(fc.seed, 9007199254740993ULL);
+  EXPECT_EQ(fc.kill_worker_after, 3);
+  EXPECT_EQ(fc.kill_worker_name, "w1");
+
   ASSERT_TRUE(fault::parse_spec("", fc));
   EXPECT_FALSE(fc.any());
   EXPECT_FALSE(fault::parse_spec("stall", fc));          // No value.
@@ -419,7 +425,12 @@ TEST(Chaos, FaultSpecParses) {
   // Out of range: rejected, never cast.
   for (const char* bad : {"seed=-1", "seed=1e300", "seed=2.5", "stall_us=1e300",
                           "stall_us=-5", "stall=nan", "stall=-0.1", "backend=1.5",
-                          "hb_drop=inf", "kill_after=1e19", "coord_crash=-1", "full=2"}) {
+                          "hb_drop=inf", "kill_after=1e19", "coord_crash=-1", "full=2",
+                          // util/parse's rules: no empty items, integer keys
+                          // take only decimal integers, whole tokens only.
+                          "seed=1,,stall=0.5,", ",", "seed=1,", "=1", "stall_us=1e3",
+                          "stall_us=1.0", "full=1.0", "pressure=1e0", "seed=+1", "stall= 0.5",
+                          "seed=18446744073709551616", "stall=0x1p-2", "kill_name="}) {
     EXPECT_FALSE(fault::parse_spec(bad, fc)) << "accepted '" << bad << "'";
   }
 }

@@ -45,11 +45,11 @@ TEST(DistWire, HelloRoundTrip) {
   in.proto = kProtoVersion;
   in.job_hash = 0xDEADBEEFCAFEull;
   in.name = "worker-7";
-  WireWriter w;
+  util::ByteWriter w;
   encode_hello(w, in);
 
   HelloMsg out;
-  WireReader r(w.bytes().data(), w.bytes().size());
+  util::ByteReader r(w.bytes().data(), w.bytes().size());
   ASSERT_TRUE(decode_hello(r, &out));
   EXPECT_EQ(out.proto, in.proto);
   EXPECT_EQ(out.job_hash, in.job_hash);
@@ -61,11 +61,11 @@ TEST(DistWire, HelloAckRoundTrip) {
   in.accepted = false;
   in.worker_id = 3;
   in.reason = "job hash mismatch";
-  WireWriter w;
+  util::ByteWriter w;
   encode_hello_ack(w, in);
 
   HelloAckMsg out;
-  WireReader r(w.bytes().data(), w.bytes().size());
+  util::ByteReader r(w.bytes().data(), w.bytes().size());
   ASSERT_TRUE(decode_hello_ack(r, &out));
   EXPECT_EQ(out.accepted, in.accepted);
   EXPECT_EQ(out.worker_id, in.worker_id);
@@ -75,10 +75,10 @@ TEST(DistWire, HelloAckRoundTrip) {
 TEST(DistWire, HeartbeatRoundTrip) {
   HeartbeatMsg in;
   in.shards_done = 41;
-  WireWriter w;
+  util::ByteWriter w;
   encode_heartbeat(w, in);
   HeartbeatMsg out;
-  WireReader r(w.bytes().data(), w.bytes().size());
+  util::ByteReader r(w.bytes().data(), w.bytes().size());
   ASSERT_TRUE(decode_heartbeat(r, &out));
   EXPECT_EQ(out.shards_done, 41u);
 }
@@ -104,11 +104,11 @@ core::SweepShard sample_shard() {
 
 TEST(DistWire, ShardRoundTripIncludingOptionalRuleFields) {
   const core::SweepShard in = sample_shard();
-  WireWriter w;
+  util::ByteWriter w;
   encode_shard(w, in);
 
   core::SweepShard out;
-  WireReader r(w.bytes().data(), w.bytes().size());
+  util::ByteReader r(w.bytes().data(), w.bytes().size());
   ASSERT_TRUE(decode_shard(r, &out));
   EXPECT_EQ(out.id, in.id);
   EXPECT_EQ(out.spec.kind, in.spec.kind);
@@ -138,11 +138,11 @@ TEST(DistWire, OutcomeRoundTripIsBitExact) {
   in.id = 7;
   in.base = 0.8125;
   in.acc = {0.5, 0.0, 1.0, 0.1234567891234567};
-  WireWriter w;
+  util::ByteWriter w;
   encode_outcome(w, in);
 
   core::ShardOutcome out;
-  WireReader r(w.bytes().data(), w.bytes().size());
+  util::ByteReader r(w.bytes().data(), w.bytes().size());
   ASSERT_TRUE(decode_outcome(r, &out));
   EXPECT_EQ(out.id, in.id);
   EXPECT_EQ(out.base, in.base);  // Bitwise via f64 bit-pattern transport.
@@ -151,19 +151,19 @@ TEST(DistWire, OutcomeRoundTripIsBitExact) {
 }
 
 TEST(DistWire, DecodeRejectsTruncationAndTrailingGarbage) {
-  WireWriter w;
+  util::ByteWriter w;
   encode_shard(w, sample_shard());
 
   core::SweepShard out;
   // Truncated at every prefix length: never decodes, never overreads.
   for (std::size_t n = 0; n < w.bytes().size(); ++n) {
-    WireReader r(w.bytes().data(), n);
+    util::ByteReader r(w.bytes().data(), n);
     EXPECT_FALSE(decode_shard(r, &out)) << "prefix " << n;
   }
   // One trailing byte: the schema mismatch must be detected.
   std::vector<std::uint8_t> extra = w.bytes();
   extra.push_back(0);
-  WireReader r(extra.data(), extra.size());
+  util::ByteReader r(extra.data(), extra.size());
   EXPECT_FALSE(decode_shard(r, &out));
 }
 
@@ -179,12 +179,12 @@ std::vector<std::uint8_t> inflate_u32(std::vector<std::uint8_t> bytes, std::size
 TEST(DistWire, ResultAccCountIsBoundedBeforeAllocation) {
   // An empty result is 60 bytes: 5 u64 header fields, the outcome's id and
   // base, then the u32 acc count.
-  WireWriter w;
+  util::ByteWriter w;
   encode_result(w, ResultMsg{});
   ASSERT_EQ(w.bytes().size(), 60u);
   const std::vector<std::uint8_t> bad = inflate_u32(w.bytes(), 56);
   ResultMsg out;
-  WireReader r(bad.data(), bad.size());
+  util::ByteReader r(bad.data(), bad.size());
   EXPECT_FALSE(decode_result(r, &out));
   EXPECT_TRUE(out.outcome.acc.empty());
 }
@@ -192,11 +192,11 @@ TEST(DistWire, ResultAccCountIsBoundedBeforeAllocation) {
 TEST(DistWire, ShardPointCountIsBoundedBeforeAllocation) {
   core::SweepShard s = sample_shard();
   s.points.clear();
-  WireWriter w;
+  util::ByteWriter w;
   encode_shard(w, s);  // Ends with the u32 point count.
   const std::vector<std::uint8_t> bad = inflate_u32(w.bytes(), w.bytes().size() - 4);
   core::SweepShard out;
-  WireReader r(bad.data(), bad.size());
+  util::ByteReader r(bad.data(), bad.size());
   EXPECT_FALSE(decode_shard(r, &out));
   EXPECT_TRUE(out.points.empty());
 }
@@ -204,19 +204,19 @@ TEST(DistWire, ShardPointCountIsBoundedBeforeAllocation) {
 TEST(DistWire, PointRuleCountIsBoundedBeforeAllocation) {
   core::SweepShard s = sample_shard();
   s.points.resize(1);
-  WireWriter w;
+  util::ByteWriter w;
   encode_shard(w, s);
   // The point's rule count is the first field after the point-less shard.
   core::SweepShard header = s;
   header.points.clear();
-  WireWriter h;
+  util::ByteWriter h;
   encode_shard(h, header);
   const std::vector<std::uint8_t> bad = inflate_u32(w.bytes(), h.bytes().size());
   core::SweepShard good;
-  WireReader ok(w.bytes().data(), w.bytes().size());
+  util::ByteReader ok(w.bytes().data(), w.bytes().size());
   ASSERT_TRUE(decode_shard(ok, &good));
   core::SweepShard out;
-  WireReader r(bad.data(), bad.size());
+  util::ByteReader r(bad.data(), bad.size());
   EXPECT_FALSE(decode_shard(r, &out));
   ASSERT_EQ(out.points.size(), 1u);
   EXPECT_TRUE(out.points[0].rules.empty());
@@ -228,11 +228,11 @@ TEST(DistWire, PointRuleCountIsBoundedBeforeAllocation) {
 TEST(DistWire, AttackSpecValuesAreRangeChecked) {
   const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
     attack::AttackSpec out;
-    WireReader r(bytes.data(), bytes.size());
+    util::ByteReader r(bytes.data(), bytes.size());
     return decode_attack_spec(r, &out) && r.done();
   };
   const auto encoded = [](const attack::AttackSpec& spec) {
-    WireWriter w;
+    util::ByteWriter w;
     encode_attack_spec(w, spec);
     return w.bytes();
   };
@@ -272,14 +272,80 @@ TEST(DistWire, AttackSpecValuesAreRangeChecked) {
   EXPECT_FALSE(decodes(inflate_u32(encoded(attack::AttackSpec::pgd(0.1, 7)), 9)));
 }
 
+// Decoders are canonical: they accept only bytes the encoders write, so a
+// decoded message re-encodes to its input. Flags are 0/1, and an unset
+// optional carries the encoder's placeholder instead of a dropped value.
+TEST(DistWire, DecodersRejectNonCanonicalBytes) {
+  HelloAckMsg ack;
+  ack.accepted = true;
+  util::ByteWriter aw;
+  encode_hello_ack(aw, ack);
+  std::vector<std::uint8_t> bad_ack = aw.bytes();
+  bad_ack[0] = 2;
+  HelloAckMsg ack_out;
+  util::ByteReader ar(bad_ack.data(), bad_ack.size());
+  EXPECT_FALSE(decode_hello_ack(ar, &ack_out));
+
+  // One point holding one rule; the rule's bytes start after the
+  // point-less shard and the point's u32 rule count.
+  const auto rule_shard = [](const noise::InjectionRule& rule) {
+    core::SweepShard s = sample_shard();
+    s.points.resize(1);
+    s.points[0].rules = {rule};
+    return s;
+  };
+  core::SweepShard header = sample_shard();
+  header.points.clear();
+  util::ByteWriter hw;
+  encode_shard(hw, header);
+  const std::size_t at = hw.bytes().size() + 4;  // has_kind, kind, has_layer, layer.
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    core::SweepShard out;
+    util::ByteReader r(bytes.data(), bytes.size());
+    return decode_shard(r, &out);
+  };
+  const auto encoded = [](const core::SweepShard& s) {
+    util::ByteWriter w;
+    encode_shard(w, s);
+    return w.bytes();
+  };
+
+  noise::InjectionRule neither;  // No kind, no layer: flags 0, kind 0, "".
+  neither.noise = {0.1, 0.0};
+  const std::vector<std::uint8_t> plain = encoded(rule_shard(neither));
+  ASSERT_TRUE(decodes(plain));
+  for (const auto& [offset, value] : std::vector<std::pair<std::size_t, std::uint8_t>>{
+           {0, 2}, {1, 1}, {2, 2}}) {
+    std::vector<std::uint8_t> bad = plain;
+    bad[at + offset] = value;
+    EXPECT_FALSE(decodes(bad)) << "byte " << offset << " = " << int{value};
+  }
+  // A layer string behind a zero has_layer flag.
+  const std::vector<std::uint8_t> layered =
+      encoded(rule_shard(noise::layer_rule(capsnet::OpKind::kSoftmax, "Caps1", {0.2, 0.0})));
+  ASSERT_TRUE(decodes(layered));
+  std::vector<std::uint8_t> hidden = layered;
+  hidden[at + 2] = 0;
+  EXPECT_FALSE(decodes(hidden));
+}
+
+TEST(DistWire, TcpPortFollowsTheNumberRule) {
+  for (const char* bad : {"tcp:127.0.0.1:+0", "tcp:127.0.0.1: 1", "tcp:127.0.0.1:65536",
+                          "tcp:127.0.0.1:-1", "tcp:127.0.0.1:1x", "tcp:127.0.0.1:0x10"}) {
+    std::string error;
+    EXPECT_FALSE(dist_listen(bad, nullptr, &error).valid()) << bad;
+    EXPECT_NE(error.find("bad tcp port"), std::string::npos) << bad << ": " << error;
+  }
+}
+
 TEST(DistWire, StandardJobShardsPassTheDecoder) {
   for (const char* profile : {"quick", "full"}) {
     const StandardJob job = make_standard_job(profile);
     for (const core::SweepShard& shard : job.shards) {
-      WireWriter w;
+      util::ByteWriter w;
       encode_shard(w, shard);
       core::SweepShard out;
-      WireReader r(w.bytes().data(), w.bytes().size());
+      util::ByteReader r(w.bytes().data(), w.bytes().size());
       EXPECT_TRUE(decode_shard(r, &out)) << profile << " shard " << shard.id;
     }
   }
@@ -308,7 +374,7 @@ SocketPair connected_pair(const char* name) {
 
 TEST(DistFrame, SendRecvRoundTrip) {
   SocketPair p = connected_pair("frame_ok.sock");
-  WireWriter w;
+  util::ByteWriter w;
   encode_heartbeat(w, HeartbeatMsg{99});
   ASSERT_TRUE(send_frame(p.client, MsgType::kHeartbeat, w.bytes()));
 
@@ -317,14 +383,14 @@ TEST(DistFrame, SendRecvRoundTrip) {
   ASSERT_EQ(recv_frame(p.server, 2000, &type, &payload), FrameStatus::kOk);
   EXPECT_EQ(type, MsgType::kHeartbeat);
   HeartbeatMsg hb;
-  WireReader r(payload.data(), payload.size());
+  util::ByteReader r(payload.data(), payload.size());
   ASSERT_TRUE(decode_heartbeat(r, &hb));
   EXPECT_EQ(hb.shards_done, 99u);
 }
 
 TEST(DistFrame, CorruptedFrameIsDetected) {
   SocketPair p = connected_pair("frame_bad.sock");
-  WireWriter w;
+  util::ByteWriter w;
   encode_heartbeat(w, HeartbeatMsg{5});
   ASSERT_TRUE(send_frame_corrupted(p.client, MsgType::kHeartbeat, w.bytes()));
 
@@ -684,7 +750,7 @@ TEST(DistEndToEnd, MismatchedJobHashWorkerIsRefused) {
     std::string err;
     Socket sock = dist_connect(addr, &err);
     ASSERT_TRUE(sock.valid()) << err;
-    WireWriter w;
+    util::ByteWriter w;
     HelloMsg hello;
     hello.proto = kProtoVersion;
     hello.job_hash = wrong_hash;  // A worker built from a drifted recipe.
@@ -696,7 +762,7 @@ TEST(DistEndToEnd, MismatchedJobHashWorkerIsRefused) {
     ASSERT_EQ(recv_frame(sock, 2000, &type, &payload), FrameStatus::kOk);
     ASSERT_EQ(type, MsgType::kHelloAck);
     HelloAckMsg ack;
-    WireReader r(payload.data(), payload.size());
+    util::ByteReader r(payload.data(), payload.size());
     ASSERT_TRUE(decode_hello_ack(r, &ack));
     EXPECT_FALSE(ack.accepted);
     EXPECT_FALSE(ack.reason.empty());

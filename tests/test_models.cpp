@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "capsnet/capsnet_model.hpp"
@@ -137,6 +138,56 @@ TEST(Serialize, MissingFileFailsCleanly) {
   Rng rng(14);
   CapsNetModel m(CapsNetConfig::tiny(), rng);
   EXPECT_FALSE(load_params(m, "/nonexistent/path/params.bin"));
+}
+
+/// The footprint a built model actually has.
+ParamLayout built_layout(CapsModel& model) {
+  ParamLayout l;
+  for (nn::Param* p : model.params()) {
+    ++l.tensors;
+    l.floats += p->value.numel();
+  }
+  return l;
+}
+
+// The config walk a manifest is checked with before its model is built
+// must agree with the model that build would allocate.
+TEST(ParamLayout, ConfigWalkMatchesBuiltModels) {
+  for (const bool paper : {false, true}) {
+    for (const std::int64_t hw : {17, 20, 28, 33}) {
+      CapsNetConfig cfg = paper ? CapsNetConfig::paper() : CapsNetConfig::tiny();
+      cfg.input_hw = hw;
+      Rng rng(15);
+      CapsNetModel model(cfg, rng);
+      const std::optional<ParamLayout> walked = cfg.param_layout();
+      ASSERT_TRUE(walked.has_value()) << "CapsNet hw " << hw;
+      const ParamLayout built = built_layout(model);
+      EXPECT_EQ(walked->tensors, built.tensors) << "CapsNet paper=" << paper << " hw " << hw;
+      EXPECT_EQ(walked->floats, built.floats) << "CapsNet paper=" << paper << " hw " << hw;
+    }
+    for (const std::int64_t hw : {1, 8, 16, 33}) {
+      DeepCapsConfig cfg = paper ? DeepCapsConfig::paper() : DeepCapsConfig::tiny();
+      cfg.input_hw = hw;
+      Rng rng(16);
+      DeepCapsModel model(cfg, rng);
+      const std::optional<ParamLayout> walked = cfg.param_layout();
+      ASSERT_TRUE(walked.has_value()) << "DeepCaps hw " << hw;
+      const ParamLayout built = built_layout(model);
+      EXPECT_EQ(walked->tensors, built.tensors) << "DeepCaps paper=" << paper << " hw " << hw;
+      EXPECT_EQ(walked->floats, built.floats) << "DeepCaps paper=" << paper << " hw " << hw;
+    }
+  }
+}
+
+TEST(ParamLayout, EmptyLayerOutputHasNoLayout) {
+  CapsNetConfig capsnet = CapsNetConfig::tiny();
+  for (const std::int64_t hw : {0, 8, 12, 14, 16}) {  // 9x9 conv, then 9x9/2 primary.
+    capsnet.input_hw = hw;
+    EXPECT_FALSE(capsnet.param_layout().has_value()) << "CapsNet hw " << hw;
+  }
+  DeepCapsConfig deepcaps = DeepCapsConfig::tiny();
+  deepcaps.input_hw = 0;
+  EXPECT_FALSE(deepcaps.param_layout().has_value());
 }
 
 }  // namespace

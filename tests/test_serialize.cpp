@@ -2,8 +2,9 @@
 //  * save_params/load_params round-trips every parameter bit-exactly, for
 //    both architectures, so a served model computes exactly what the
 //    designed model computed;
-//  * loading rejects missing, truncated, magic-corrupted and
-//    layout-mismatched files instead of silently mangling weights.
+//  * loading rejects missing, truncated, magic-corrupted, padded and
+//    layout-mismatched files instead of silently mangling weights, and a
+//    rejected load leaves the target's parameters bitwise unchanged.
 #include "capsnet/serialize.hpp"
 
 #include <gtest/gtest.h>
@@ -63,6 +64,22 @@ void check_round_trip(CapsModel& a, CapsModel& b, const Tensor& probe,
                            static_cast<std::size_t>(va.numel()) * sizeof(float)));
 }
 
+/// Every parameter float of `model`, in params() order.
+std::vector<float> flat_params(CapsModel& model) {
+  std::vector<float> out;
+  for (nn::Param* p : model.params()) {
+    out.insert(out.end(), p->value.data().begin(), p->value.data().end());
+  }
+  return out;
+}
+
+/// A failed load is staged: the target keeps its own parameters bitwise.
+void expect_unchanged(CapsModel& model, const std::vector<float>& before) {
+  const std::vector<float> after = flat_params(model);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(0, std::memcmp(after.data(), before.data(), after.size() * sizeof(float)));
+}
+
 Tensor probe_for(const CapsModel& model) {
   const Shape in = model.input_shape();
   data::SyntheticSpec s;
@@ -120,6 +137,12 @@ TEST(Serialize, LoadRejectsTruncatedFile) {
   std::fclose(f);
 
   EXPECT_FALSE(load_params(model, path));
+
+  Rng rng_target(16);  // Different init: a partial read would show.
+  CapsNetModel target(small_capsnet_config(), rng_target);
+  const std::vector<float> before = flat_params(target);
+  EXPECT_FALSE(load_params(target, path));
+  expect_unchanged(target, before);
 }
 
 TEST(Serialize, LoadRejectsCorruptedMagic) {
@@ -156,7 +179,9 @@ TEST(Serialize, LoadRejectsSingleByteFlipInWeightData) {
 
   Rng rng_target(10);
   CapsNetModel target(small_capsnet_config(), rng_target);
+  const std::vector<float> before = flat_params(target);
   EXPECT_FALSE(load_params(target, path));
+  expect_unchanged(target, before);
 }
 
 TEST(Serialize, LoadRejectsLayoutMismatch) {
@@ -178,6 +203,42 @@ TEST(Serialize, LoadRejectsLayoutMismatch) {
   Rng rng3(10);
   DeepCapsModel deep(dc, rng3);
   EXPECT_FALSE(load_params(deep, path));
+}
+
+TEST(Serialize, LoadRejectsTrailingBytes) {
+  Rng rng(11);
+  CapsNetModel model(small_capsnet_config(), rng);
+  const std::string path = temp_path("trailing.rdcn");
+  ASSERT_TRUE(save_params(model, path));
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(1U, std::fwrite("X", 1, 1, f));
+  std::fclose(f);
+
+  Rng rng_target(12);
+  CapsNetModel target(small_capsnet_config(), rng_target);
+  const std::vector<float> before = flat_params(target);
+  EXPECT_FALSE(load_params(target, path));
+  expect_unchanged(target, before);
+}
+
+TEST(Serialize, CheckpointSizeIsTheLayoutFormula) {
+  Rng rng(13);
+  CapsNetModel model(small_capsnet_config(), rng);
+  const std::string path = temp_path("size.rdcn");
+  ASSERT_TRUE(save_params(model, path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(0, std::fseek(f, 0, SEEK_END));
+  const long size = std::ftell(f);
+  std::fclose(f);
+  ParamLayout layout;
+  for (nn::Param* p : model.params()) {
+    ++layout.tensors;
+    layout.floats += p->value.numel();
+  }
+  EXPECT_EQ(static_cast<std::uint64_t>(size), checkpoint_bytes(layout));
+  EXPECT_EQ(checkpoint_bytes(layout), 16 + 8 * 5 + 4 * static_cast<std::uint64_t>(layout.floats));
 }
 
 }  // namespace

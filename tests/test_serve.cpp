@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -308,6 +309,22 @@ TEST(Serve, ManifestRejectsMalformedText) {
   EXPECT_FALSE(core::manifest_from_text(
       "redcane-manifest v1\nmodel CapsNet\nfrobnicate 3\n", out));  // Unknown key.
   EXPECT_FALSE(core::manifest_from_text("redcane-manifest v1\n", out));  // No model.
+
+  // Numbers follow util/parse's rule and every key takes exactly its own
+  // number of tokens: each of these was read as something else before.
+  const std::string head = "redcane-manifest v1\nmodel CapsNet\n";
+  for (const char* bad :
+       {"input_hw 16junk\n", "input_hw 1e3\n", "num_classes 10 11\n",
+        "baseline_accuracy 0.5x\n", "site L mac c 0 0 0 extra\n", "noise_seed -1\n",
+        "input_hw +16\n", "noise_seed 18446744073709551616\n", "model CapsNet DeepCaps\n",
+        "checkpoint\n", "site L mac c 0 0\n"}) {
+    EXPECT_FALSE(core::manifest_from_text(head + bad, out)) << "accepted '" << bad << "'";
+  }
+  ASSERT_TRUE(core::manifest_from_text(
+      head + "input_hw 16\nnoise_seed 18446744073709551615\nbaseline_accuracy 1e-3\n", out));
+  EXPECT_EQ(out.input_hw, 16);
+  EXPECT_EQ(out.noise_seed, 18446744073709551615ULL);
+  EXPECT_EQ(out.baseline_accuracy, 1e-3);
 }
 
 TEST(Serve, ManifestRejectsNonFiniteNoiseFields) {
@@ -406,6 +423,28 @@ TEST(Serve, RegistryOpenServesASavedDesign) {
   }
 }
 
+/// Writes `<name>.rdcn`, saved from CapsNet-tiny at `ckpt_hw`, and a
+/// manifest `<name>.manifest` that declares `manifest_hw`. Returns the
+/// manifest path.
+std::string write_geometry_case(const std::string& dir, const std::string& name,
+                                std::int64_t manifest_hw, std::int64_t ckpt_hw) {
+  capsnet::CapsNetConfig cfg = capsnet::CapsNetConfig::tiny();
+  cfg.input_hw = ckpt_hw;
+  Rng rng(44);
+  capsnet::CapsNetModel model(cfg, rng);
+  EXPECT_TRUE(capsnet::save_params(model, dir + "/" + name + ".rdcn"));
+  core::DeploymentManifest m;
+  m.model = "CapsNet";
+  m.profile = "tiny";
+  m.input_hw = manifest_hw;
+  m.input_channels = 1;
+  m.num_classes = 10;
+  m.checkpoint = name + ".rdcn";
+  const std::string path = dir + "/" + name + ".manifest";
+  EXPECT_TRUE(core::save_manifest(m, path));
+  return path;
+}
+
 TEST(Serve, RegistryOpenRejectsBadInputs) {
   EXPECT_EQ(ModelRegistry::open("/nonexistent/path.manifest"), nullptr);
 
@@ -414,13 +453,20 @@ TEST(Serve, RegistryOpenRejectsBadInputs) {
   core::DeploymentManifest m;
   m.model = "CapsNet";
   m.profile = "tiny";
-  m.input_hw = 14;
+  m.input_hw = 20;
   m.input_channels = 1;
   m.num_classes = 10;
   m.checkpoint = "missing.rdcn";
   const std::string path = dir + "/broken.manifest";
   ASSERT_TRUE(core::save_manifest(m, path));
   EXPECT_EQ(ModelRegistry::open(path), nullptr);
+
+  // Geometry is checked before the model is built: an extent inside the
+  // manifest's range whose parameters the checkpoint cannot hold (a
+  // multi-terabyte ClassCaps), and an extent whose PrimaryCaps output is
+  // empty, even with a checkpoint saved from exactly that geometry.
+  EXPECT_EQ(ModelRegistry::open(write_geometry_case(dir, "huge", 65536, 20)), nullptr);
+  EXPECT_EQ(ModelRegistry::open(write_geometry_case(dir, "empty", 12, 12)), nullptr);
 }
 
 TEST(Serve, ServerStatsAccountForRequestsAndBatches) {
@@ -725,6 +771,38 @@ TEST(Serve, RegistryReloadSwapsModelAndRollsBackOnFailure) {
   ASSERT_TRUE(core::save_manifest(mc, dir + "/c.manifest"));
   EXPECT_FALSE(registry->reload(dir + "/c.manifest"));
   EXPECT_EQ(registry->reloads_failed(), 2);
+
+  // Geometry a live server must refuse before building anything: a
+  // 65536-pixel extent (terabytes of ClassCaps weights) and an empty
+  // PrimaryCaps output. Both roll back; outputs stay bitwise the same.
+  EXPECT_FALSE(registry->reload(write_geometry_case(dir, "reload_huge", 65536, 20)));
+  EXPECT_FALSE(registry->reload(write_geometry_case(dir, "reload_empty", 12, 12)));
+  EXPECT_EQ(registry->reloads_failed(), 4);
+  const Tensor kept = registry->run(kVariantExact, probe, 0).output;
+  for (std::int64_t i = 0; i < kept.numel(); ++i) {
+    ASSERT_EQ(kept.at(i), after.at(i)) << "failed reload changed served outputs at " << i;
+  }
+}
+
+// REDCANE_SERVE_THREADS follows util/parse's rule: anything but a whole
+// decimal integer in [1, INT_MAX] falls back to hardware concurrency.
+TEST(Serve, ServeThreadsVariableFollowsTheNumberRule) {
+  const char* saved = std::getenv("REDCANE_SERVE_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  const int hw = hw_threads == 0 ? 1 : static_cast<int>(hw_threads);
+  for (const char* bad : {"10000000000", "4abc", " 3", "+3", "0", "-2", "3.0"}) {
+    ASSERT_EQ(::setenv("REDCANE_SERVE_THREADS", bad, 1), 0);
+    EXPECT_EQ(InferenceServer::resolve_workers(0), hw) << "REDCANE_SERVE_THREADS=" << bad;
+  }
+  ASSERT_EQ(::setenv("REDCANE_SERVE_THREADS", "3", 1), 0);
+  EXPECT_EQ(InferenceServer::resolve_workers(0), 3);
+  EXPECT_EQ(InferenceServer::resolve_workers(5), 5);
+  if (saved != nullptr) {
+    ::setenv("REDCANE_SERVE_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("REDCANE_SERVE_THREADS");
+  }
 }
 
 TEST(Serve, AttackedEvalPredictionsIdenticalAcrossWorkerCounts) {

@@ -534,6 +534,17 @@ TEST(SweepEngine, ThreadResolutionHonorsEnvOverride) {
   EXPECT_EQ(SweepEngine::resolve_threads(5), 5);  // Explicit config wins.
   ::unsetenv("REDCANE_SWEEP_THREADS");
   EXPECT_GE(SweepEngine::resolve_threads(0), 1);
+
+  // The variable follows util/parse's rule: anything but a whole decimal
+  // integer in [1, INT_MAX] falls back to hardware concurrency, never to a
+  // wrapped or truncated count.
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  const int hw = hw_threads == 0 ? 1 : static_cast<int>(hw_threads);
+  for (const char* bad : {"10000000000", "4abc", " 3", "+3", "0", "-2", "3.0"}) {
+    ::setenv("REDCANE_SWEEP_THREADS", bad, 1);
+    EXPECT_EQ(SweepEngine::resolve_threads(0), hw) << "REDCANE_SWEEP_THREADS=" << bad;
+  }
+  ::unsetenv("REDCANE_SWEEP_THREADS");
 }
 
 }  // namespace
