@@ -47,7 +47,7 @@ class Layer {
 /// He-normal initialization for conv/dense weights with `fan_in` inputs.
 inline void he_init(Tensor& w, std::int64_t fan_in, Rng& rng) {
   const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (float& v : w.data()) v = static_cast<float>(rng.normal(0.0, stddev));
+  rng.fill_normal(w.data().data(), w.data().size(), 0.0, stddev);
 }
 
 }  // namespace redcane::nn

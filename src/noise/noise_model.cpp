@@ -9,8 +9,7 @@ namespace redcane::noise {
 
 void inject_noise(Tensor& x, const NoiseSpec& spec, Rng& rng) {
   if (spec.is_zero() || x.empty()) return;
-  const stats::Moments m = stats::moments(x);
-  const double range = m.range();
+  const double range = stats::range(x).width();
   if (range <= 0.0) return;
   const double stddev = spec.nm * range;
   const double mean = spec.na * range;
@@ -22,9 +21,7 @@ void inject_noise(Tensor& x, const NoiseSpec& spec, Rng& rng) {
   ws::Workspace& wksp = ws::Workspace::tls();
   const ws::Workspace::Scope scope(wksp);
   float* delta = wksp.alloc<float>(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    delta[i] = static_cast<float>(rng.normal(mean, stddev));
-  }
+  rng.fill_normal(delta, count, mean, stddev);
   float* xd = x.data().data();
 #pragma omp simd
   for (std::size_t i = 0; i < count; ++i) xd[i] += delta[i];

@@ -6,13 +6,20 @@
 #include "tensor/stats.hpp"
 
 namespace redcane::quant {
+namespace {
+
+/// Clamps a rounded code into [0, top]; NaN maps to 0, so the integer cast
+/// is always defined. Equals std::clamp(q, 0.0, top) for every other q.
+double clamp_code(double q, double top) { return !(q > 0.0) ? 0.0 : std::min(q, top); }
+
+}  // namespace
 
 QuantParams fit_params(const Tensor& t, int bits) {
-  const stats::Moments m = stats::moments(t);
+  const stats::Range r = stats::range(t);
   QuantParams p;
   p.bits = bits;
-  p.min = m.min;
-  p.max = m.max;
+  p.min = r.min;
+  p.max = r.max;
   if (!(p.max > p.min)) p.max = p.min + 1.0;
   return p;
 }
@@ -21,10 +28,10 @@ std::vector<std::uint32_t> quantize(const Tensor& t, const QuantParams& p) {
   std::vector<std::uint32_t> codes;
   codes.reserve(static_cast<std::size_t>(t.numel()));
   const double inv_step = 1.0 / p.step();
+  const double top = static_cast<double>(p.max_code());
   for (float v : t.data()) {
     const double q = std::round((static_cast<double>(v) - p.min) * inv_step);
-    const double clamped = std::clamp(q, 0.0, static_cast<double>(p.max_code()));
-    codes.push_back(static_cast<std::uint32_t>(clamped));
+    codes.push_back(static_cast<std::uint32_t>(clamp_code(q, top)));
   }
   return codes;
 }
@@ -41,7 +48,7 @@ void quantize_u8(const Tensor& t, const QuantParams& p, std::uint8_t* out) {
   const auto td = t.data();
   for (std::size_t i = 0; i < td.size(); ++i) {
     const double q = std::round((static_cast<double>(td[i]) - p.min) * inv_step);
-    out[i] = static_cast<std::uint8_t>(std::clamp(q, 0.0, top));
+    out[i] = static_cast<std::uint8_t>(clamp_code(q, top));
   }
 }
 

@@ -176,7 +176,7 @@ Tensor l2_norm_last_axis(const Tensor& a) {
 
 Tensor gaussian(const Shape& shape, double mean, double stddev, Rng& rng) {
   Tensor t(shape);
-  for (float& v : t.data()) v = static_cast<float>(rng.normal(mean, stddev));
+  rng.fill_normal(t.data().data(), t.data().size(), mean, stddev);
   return t;
 }
 

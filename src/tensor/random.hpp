@@ -8,6 +8,7 @@
 // implementation-defined across standard libraries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace redcane {
@@ -36,6 +37,13 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// out[i] = static_cast<float>(normal(mean, stddev)) for i < n, bit for
+  /// bit, leaving the generator (cached second variate included) as that
+  /// loop would. Under AVX2 dispatch (gemm::mk::active()) a vector
+  /// Box–Muller keeps each float only where a rounding test proves it equal
+  /// to the scalar one, and recomputes the rest exactly (see random.cpp).
+  void fill_normal(float* out, std::size_t n, double mean, double stddev);
 
   /// Forks a statistically independent child stream; used to hand each
   /// injection site / worker its own generator.

@@ -9,18 +9,51 @@ namespace redcane::stats {
 namespace {
 
 template <typename T>
+Range range_impl(std::span<const T> xs) {
+  // Seeded from the first non-NaN element; std::min/max then skip a NaN
+  // (every comparison with it is false). Eight independent chains keep the
+  // pass at load speed.
+  std::size_t i = 0;
+  while (i < xs.size() && std::isnan(xs[i])) ++i;
+  if (i == xs.size()) return {};
+  constexpr std::size_t kChains = 8;
+  T mn[kChains];
+  T mx[kChains];
+  std::fill(mn, mn + kChains, xs[i]);
+  std::fill(mx, mx + kChains, xs[i]);
+  for (; i + kChains <= xs.size(); i += kChains) {
+    for (std::size_t k = 0; k < kChains; ++k) {
+      mn[k] = std::min(mn[k], xs[i + k]);
+      mx[k] = std::max(mx[k], xs[i + k]);
+    }
+  }
+  for (; i < xs.size(); ++i) {
+    mn[0] = std::min(mn[0], xs[i]);
+    mx[0] = std::max(mx[0], xs[i]);
+  }
+  T lo = mn[0];
+  T hi = mx[0];
+  for (std::size_t k = 1; k < kChains; ++k) {
+    lo = std::min(lo, mn[k]);
+    hi = std::max(hi, mx[k]);
+  }
+  // Only a zero extremum has two encodings. Give it the sign of the first
+  // zero in the sample, as one sequential std::min/max pass would.
+  if (lo == 0 || hi == 0) {
+    const T first_zero = *std::find(xs.begin(), xs.end(), T{0});
+    if (lo == 0) lo = first_zero;
+    if (hi == 0) hi = first_zero;
+  }
+  return {static_cast<double>(lo), static_cast<double>(hi)};
+}
+
+template <typename T>
 Moments moments_impl(std::span<const T> xs) {
   Moments m;
   m.count = static_cast<std::int64_t>(xs.size());
   if (xs.empty()) return m;
   double sum = 0.0;
-  double mn = xs[0];
-  double mx = xs[0];
-  for (T x : xs) {
-    sum += static_cast<double>(x);
-    mn = std::min(mn, static_cast<double>(x));
-    mx = std::max(mx, static_cast<double>(x));
-  }
+  for (T x : xs) sum += static_cast<double>(x);
   m.mean = sum / static_cast<double>(xs.size());
   double var = 0.0;
   for (T x : xs) {
@@ -28,12 +61,16 @@ Moments moments_impl(std::span<const T> xs) {
     var += d * d;
   }
   m.stddev = std::sqrt(var / static_cast<double>(xs.size()));
-  m.min = mn;
-  m.max = mx;
+  const Range r = range_impl(xs);
+  m.min = r.min;
+  m.max = r.max;
   return m;
 }
 
 }  // namespace
+
+Range range(std::span<const float> xs) { return range_impl(xs); }
+Range range(const Tensor& t) { return range_impl(t.data()); }
 
 Moments moments(std::span<const double> xs) { return moments_impl(xs); }
 Moments moments(std::span<const float> xs) { return moments_impl(xs); }

@@ -12,7 +12,22 @@
 
 namespace redcane::stats {
 
-/// First and second moments plus extrema of a sample.
+/// Extrema of a sample.
+struct Range {
+  double min = 0.0;
+  double max = 0.0;
+
+  /// Dynamic range R = max - min, the normalizer in the paper's NM/NA.
+  [[nodiscard]] double width() const { return max - min; }
+};
+
+/// One min/max pass that skips NaN elements. An empty or all-NaN sample
+/// yields {0, 0}, so Eq. 3-4 leaves it unperturbed.
+[[nodiscard]] Range range(std::span<const float> xs);
+[[nodiscard]] Range range(const Tensor& t);
+
+/// First and second moments plus extrema of a sample. The extrema are
+/// range()'s, so they skip NaN; mean and stddev do not.
 struct Moments {
   double mean = 0.0;
   double stddev = 0.0;  ///< Population standard deviation.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -68,6 +69,24 @@ TEST(Quantizer, U8ClampsTo255) {
   p.bits = 12;  // Codes exceed 255.
   const auto u8 = quantize_u8(t, p);
   EXPECT_EQ(u8[1], 255U);
+}
+
+TEST(Quantizer, NaNMapsToCodeZero) {
+  // round(NaN) must not reach an integer cast (undefined behaviour).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor t(Shape{4}, {nan, -1.0F, 0.5F, 1.0F});
+  const QuantParams p = fit_params(t, 8);
+  EXPECT_DOUBLE_EQ(p.min, -1.0);
+  EXPECT_DOUBLE_EQ(p.max, 1.0);
+  const auto codes = quantize(t, p);
+  EXPECT_EQ(codes[0], 0U);
+  EXPECT_EQ(codes[1], 0U);
+  EXPECT_EQ(codes[3], 255U);
+  const auto u8 = quantize_u8(t, p);
+  EXPECT_EQ(u8[0], 0U);
+  EXPECT_EQ(u8[1], 0U);
+  EXPECT_EQ(u8[3], 255U);
+  for (std::size_t i = 1; i < codes.size(); ++i) EXPECT_EQ(u8[i], codes[i]);
 }
 
 TEST(Quantizer, PaperEq1Form) {

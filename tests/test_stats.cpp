@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
+#include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
 namespace redcane {
@@ -32,6 +35,87 @@ TEST(Moments, TensorOverload) {
   const stats::Moments m = stats::moments(t);
   EXPECT_DOUBLE_EQ(m.mean, 0.0);
   EXPECT_DOUBLE_EQ(m.range(), 2.0);
+}
+
+TEST(Range, EqualsOneSequentialPassOnRandomTensors) {
+  // The reference is the single std::min/max chain seeded from element 0.
+  // Odd trials clamp negatives to +0 or -0 at random, so a zero extremum's
+  // sign must also match.
+  Rng rng(3);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto n = static_cast<std::int64_t>(1 + rng.uniform_index(300));
+    Tensor t = ops::gaussian(Shape{n}, rng.uniform(-5.0, 5.0), rng.uniform(0.0, 3.0), rng);
+    if (trial % 2 == 1) {
+      for (float& v : t.data()) {
+        if (v < 0.0F) v = rng.uniform() < 0.5 ? 0.0F : -0.0F;
+      }
+    }
+    double lo = t.at(0);
+    double hi = t.at(0);
+    for (const float v : t.data()) {
+      lo = std::min(lo, static_cast<double>(v));
+      hi = std::max(hi, static_cast<double>(v));
+    }
+    const stats::Range r = stats::range(t);
+    EXPECT_EQ(r.min, lo);
+    EXPECT_EQ(r.max, hi);
+    EXPECT_EQ(std::signbit(r.min), std::signbit(lo)) << "trial " << trial;
+    EXPECT_EQ(std::signbit(r.max), std::signbit(hi)) << "trial " << trial;
+    const stats::Moments m = stats::moments(t);
+    EXPECT_EQ(m.min, r.min);
+    EXPECT_EQ(m.max, r.max);
+    EXPECT_EQ(r.width(), m.range());
+  }
+}
+
+TEST(Range, SkipsNaNAtEveryPosition) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t pos = 0; pos < 8; ++pos) {
+    Tensor t(Shape{8}, {-2.0F, 1.0F, 3.0F, 0.5F, -1.0F, 2.0F, 0.0F, 1.5F});
+    const float dropped = t.at(pos);
+    t.at(pos) = nan;
+    const stats::Range r = stats::range(t);
+    EXPECT_EQ(r.min, dropped == -2.0F ? -1.0 : -2.0) << "NaN at " << pos;
+    EXPECT_EQ(r.max, dropped == 3.0F ? 2.0 : 3.0) << "NaN at " << pos;
+    const stats::Moments m = stats::moments(t);
+    EXPECT_EQ(m.min, r.min);
+    EXPECT_EQ(m.max, r.max);
+  }
+}
+
+TEST(Range, EmptyAndAllNaNAreZero) {
+  const std::vector<float> none;
+  const stats::Range e = stats::range(std::span<const float>(none));
+  EXPECT_EQ(e.min, 0.0);
+  EXPECT_EQ(e.max, 0.0);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> all_nan{nan, nan, nan};
+  const stats::Range a = stats::range(std::span<const float>(all_nan));
+  EXPECT_EQ(a.min, 0.0);
+  EXPECT_EQ(a.max, 0.0);
+  EXPECT_EQ(a.width(), 0.0);
+}
+
+TEST(Range, SignedZeroExtremumIsTheFirstSeen) {
+  const std::vector<float> xs{0.0F, -0.0F, 1.0F};
+  EXPECT_FALSE(std::signbit(stats::range(std::span<const float>(xs)).min));
+  const std::vector<float> ys{-0.0F, 0.0F, 1.0F};
+  EXPECT_TRUE(std::signbit(stats::range(std::span<const float>(ys)).min));
+  // Zeros far apart, so they land in different min/max chains.
+  for (std::size_t first = 0; first < 19; ++first) {
+    std::vector<float> pos(37, 2.0F);
+    std::vector<float> neg(37, -2.0F);
+    pos[first] = -0.0F;
+    pos[first + 11] = 0.0F;
+    neg[first] = 0.0F;
+    neg[first + 17] = -0.0F;
+    const stats::Range rp = stats::range(std::span<const float>(pos));
+    const stats::Range rn = stats::range(std::span<const float>(neg));
+    EXPECT_TRUE(std::signbit(rp.min)) << first;
+    EXPECT_EQ(rp.max, 2.0);
+    EXPECT_FALSE(std::signbit(rn.max)) << first;
+    EXPECT_EQ(rn.min, -2.0);
+  }
 }
 
 TEST(Histogram, CountsAndClamping) {
