@@ -22,6 +22,7 @@
 // one JSON object to BENCH_emulation.json.
 //
 // Usage: bench_emulation [--quick] [--json PATH]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -134,8 +135,18 @@ int run(bool quick, const std::string& json_path) {
     const std::int64_t n = d.cout;
     std::vector<std::uint8_t> qx(static_cast<std::size_t>(x.numel()));
     std::vector<std::uint8_t> qw(static_cast<std::size_t>(w.numel()));
+    // Every phase runs the code layout and the orientation approx_conv2d
+    // picks for this shape.
     std::vector<std::uint8_t> cols(static_cast<std::size_t>(m * k));
     std::vector<std::uint8_t> mask(static_cast<std::size_t>(m * k));
+    gemm::lk::LutProblem p;
+    p.m = m;
+    p.n = n;
+    p.k = k;
+    p.lanes = quant::lut_lanes(m, n, k);
+    p.a = cols.data();
+    p.mask = spec.pad > 0 ? mask.data() : nullptr;
+    p.b = qw.data();
     quant::QuantParams px;
     quant::QuantParams pw;
     {
@@ -145,7 +156,8 @@ int run(bool quick, const std::string& json_path) {
         pw = quant::fit_params(w, spec.bits);
         quant::quantize_u8(x, px, qx.data());
         quant::quantize_u8(w, pw, qw.data());
-        nn::im2col_codes(qx.data(), d, cols.data(), mask.data());
+        nn::im2col_codes(qx.data(), d, cols.data(), p.mask == nullptr ? nullptr : mask.data(),
+                         p.lanes == gemm::lk::Lanes::kPositions);
       }
       phase_quant_ms = ms_since(t0) / reps;
     }
@@ -166,10 +178,18 @@ int run(bool quick, const std::string& json_path) {
     std::vector<std::uint64_t> acc_qa(static_cast<std::size_t>(m));
     std::vector<std::int64_t> taps(static_cast<std::size_t>(m));
     {
+      // The integer sums alone, block by block on this thread.
+      const std::int64_t rb = gemm::lk::block_rows(p.lanes, n, k);
       const auto t0 = Clock::now();
       for (int r = 0; r < reps; ++r) {
-        gemm::lk::lut_gemm_u8(m, n, k, cols.data(), mask.data(), qw.data(), tables,
-                              acc_qq.data(), acc_qw.data(), acc_qa.data(), taps.data());
+        for (std::int64_t i0 = 0; i0 < m; i0 += rb) {
+          gemm::lk::LutBlockOut o;
+          o.qq64 = acc_qq.data() + i0 * n;
+          o.qw = acc_qw.data() + i0 * n;
+          o.qa = acc_qa.data() + i0;
+          o.taps = taps.data() + i0;
+          gemm::lk::lut_block(p, 0, i0, std::min(m, i0 + rb), tables, nullptr, o);
+        }
       }
       phase_mac_ms = ms_since(t0) / reps;
     }
@@ -179,8 +199,8 @@ int run(bool quick, const std::string& json_path) {
       std::vector<float> out(static_cast<std::size_t>(m * n));
       const auto t0 = Clock::now();
       for (int r = 0; r < reps; ++r) {
-        quant::lut_gemm_dequant(m, n, k, cols.data(), mask.data(), px, qw.data(), pw, tables,
-                                nullptr, nullptr, out.data());
+        quant::lut_gemm_dequant(p, px, pw, tables, nullptr, nullptr,
+                                quant::LutOutput{out.data(), n, 0});
       }
       phase_dequant_ms = std::max(0.0, ms_since(t0) / reps - phase_mac_ms);
     }

@@ -55,6 +55,7 @@ void EmulationPlan::set(const std::string& layer, const SiteUnit& unit) {
 
 bool EmulationPlan::set_by_name(const std::string& layer, const std::string& multiplier,
                                 const std::string& adder, int bits) {
+  if (bits < 1 || bits > 8) return false;
   SiteUnit u;
   u.bits = bits;
   if (!multiplier.empty()) {

@@ -56,7 +56,7 @@ class EmulationPlan {
   /// library ("" or "axm_exact" = exact) and `adder` in the adder library
   /// ("" = exact accumulation). Returns false — and sets nothing — when a
   /// non-empty name is unknown (e.g. a manifest written by a different
-  /// library build).
+  /// library build) or `bits` lies outside the 1..8-bit code range.
   [[nodiscard]] bool set_by_name(const std::string& layer, const std::string& multiplier,
                                  const std::string& adder = "", int bits = 8);
 

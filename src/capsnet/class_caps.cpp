@@ -69,37 +69,42 @@ Tensor ClassCaps::compute_votes_emulated(const Tensor& x,
   quant::quantize_u8(w_.value, pw, qw);
   const gemm::lk::LutTables& tables = quant::lut_cache_get(unit.unit.mul, unit.bits);
 
-  // One LUT-accumulate GEMM per input capsule i: votes[:, i, j, :] =
-  // x[:, i, :] (codes, [n, id]) * W[i] (codes packed [id, oc*od]). The
-  // product table is shared across all ic groups of the layer call.
-  std::uint8_t* a_pack = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(n * id));
-  std::uint8_t* b_pack = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(id * jd));
-  float* out_i = wksp.alloc<float>(static_cast<std::size_t>(n * jd));
-  Tensor votes(Shape{n, ic, oc, od});
-  auto vd = votes.data();
+  // One grouped LUT-GEMM over the ic input capsules: group i computes
+  // votes[:, i, j, :] = x[:, i, :] (codes [n, id], laid out for the
+  // orientation the shape rule picks) * W[i] (codes packed [id, oc*od]),
+  // all sharing one product table and one pair of quantization params.
+  const gemm::lk::Lanes lanes = quant::lut_lanes(n, jd, id);
+  const bool tap_major = lanes == gemm::lk::Lanes::kPositions;
+  std::uint8_t* a_pack = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(ic * n * id));
+  std::uint8_t* b_pack = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(ic * id * jd));
   for (std::int64_t i = 0; i < ic; ++i) {
+    std::uint8_t* a_i = a_pack + i * n * id;
     for (std::int64_t ni = 0; ni < n; ++ni) {
-      std::memcpy(&a_pack[static_cast<std::size_t>(ni * id)],
-                  &qx[static_cast<std::size_t>((ni * ic + i) * id)],
-                  static_cast<std::size_t>(id));
+      const std::uint8_t* src = qx + (ni * ic + i) * id;
+      for (std::int64_t p = 0; p < id; ++p) a_i[tap_major ? p * n + ni : ni * id + p] = src[p];
     }
     // W is [I, J, in_dim, out_dim]: transpose the (J, in_dim) block of
     // capsule i into the row-major [in_dim, J*out_dim] GEMM operand.
     for (std::int64_t j = 0; j < oc; ++j) {
       for (std::int64_t p = 0; p < id; ++p) {
-        std::memcpy(&b_pack[static_cast<std::size_t>(p * jd + j * od)],
-                    &qw[static_cast<std::size_t>(((i * oc + j) * id + p) * od)],
+        std::memcpy(b_pack + (i * id + p) * jd + j * od, qw + ((i * oc + j) * id + p) * od,
                     static_cast<std::size_t>(od));
       }
     }
-    quant::lut_gemm_dequant(n, jd, id, a_pack, nullptr, px, b_pack, pw, tables,
-                            unit.unit.adder, nullptr, out_i);
-    for (std::int64_t ni = 0; ni < n; ++ni) {
-      std::memcpy(&vd[static_cast<std::size_t>((ni * ic + i) * jd)],
-                  &out_i[static_cast<std::size_t>(ni * jd)],
-                  static_cast<std::size_t>(jd) * sizeof(float));
-    }
   }
+  gemm::lk::LutProblem prob;
+  prob.lanes = lanes;
+  prob.m = n;
+  prob.n = jd;
+  prob.k = id;
+  prob.groups = ic;
+  prob.a = a_pack;
+  prob.a_group = n * id;
+  prob.b = b_pack;
+  prob.b_group = id * jd;
+  Tensor votes(Shape{n, ic, oc, od});
+  quant::lut_gemm_dequant(prob, px, pw, tables, unit.unit.adder, nullptr,
+                          quant::LutOutput{votes.data().data(), ic * jd, jd});
   return votes;
 }
 

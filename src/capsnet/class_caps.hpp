@@ -51,8 +51,8 @@ class ClassCaps final : public nn::Layer {
  private:
   [[nodiscard]] Tensor compute_votes(const Tensor& x) const;
   /// Emulated vote GEMMs (backend/emulation.hpp plans this layer): one
-  /// grouped LUT-accumulate GEMM per input capsule, sharing one product
-  /// table per layer call. Eval path only.
+  /// grouped LUT-accumulate call per layer with a group per input capsule,
+  /// sharing one product table. Eval path only.
   [[nodiscard]] Tensor compute_votes_emulated(const Tensor& x,
                                               const backend::SiteUnit& unit) const;
 

@@ -31,16 +31,6 @@ void gather_type_plane(const float* x, std::int64_t spatial, std::int64_t ti, st
   }
 }
 
-/// gather_type_plane over u8 quantization codes (emulated path).
-void gather_type_plane_codes(const std::uint8_t* x, std::int64_t spatial, std::int64_t ti,
-                             std::int64_t di, std::int64_t i, std::uint8_t* plane) {
-  const std::uint8_t* src = x + i * di;
-  const std::int64_t xstride = ti * di;
-  for (std::int64_t s = 0; s < spatial; ++s) {
-    std::memcpy(&plane[s * di], &src[s * xstride], static_cast<std::size_t>(di));
-  }
-}
-
 }  // namespace
 
 ConvCaps3D::ConvCaps3D(std::string name, const ConvCaps3DSpec& spec, Rng& rng)
@@ -125,24 +115,30 @@ Tensor ConvCaps3D::compute_votes_emulated(const Tensor& x, std::int64_t& ho,
   quant::quantize_u8(w_.value, pw, qw);
   const gemm::lk::LutTables& tables = quant::lut_cache_get(unit.unit.mul, unit.bits);
 
-  std::uint8_t* plane = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(n * h * w * di));
-  std::uint8_t* cols = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(m * k));
-  std::uint8_t* mask = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(m * k));
-  float* votes_i = wksp.alloc<float>(static_cast<std::size_t>(m * jd));
-  Tensor votes(Shape{m, ti, spec_.out_types, spec_.out_dim});
-  auto vd = votes.data();
+  // One grouped LUT-GEMM for all ti types: each type's patch codes are
+  // lowered straight from its channel slice of the rank-5 codes, and the
+  // padding mask (the same for every type) is written once and shared.
+  gemm::lk::LutProblem p;
+  p.m = m;
+  p.n = jd;
+  p.k = k;
+  p.lanes = quant::lut_lanes(m, jd, k);
+  p.groups = ti;
+  std::uint8_t* cols = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(ti * m * k));
+  std::uint8_t* mask =
+      d.pad > 0 ? wksp.alloc<std::uint8_t>(static_cast<std::size_t>(m * k)) : nullptr;
   for (std::int64_t i = 0; i < ti; ++i) {
-    gather_type_plane_codes(qx, n * h * w, ti, di, i, plane);
-    nn::im2col_codes(plane, d, cols, mask);
-    quant::lut_gemm_dequant(m, jd, k, cols, mask, px,
-                            &qw[static_cast<std::size_t>(i * k * jd)], pw, tables,
-                            unit.unit.adder, nullptr, votes_i);
-    for (std::int64_t r = 0; r < m; ++r) {
-      std::memcpy(&vd[static_cast<std::size_t>((r * ti + i) * jd)],
-                  &votes_i[static_cast<std::size_t>(r * jd)],
-                  static_cast<std::size_t>(jd) * sizeof(float));
-    }
+    nn::im2col_codes(qx + i * di, d, cols + i * m * k, i == 0 ? mask : nullptr,
+                     p.lanes == gemm::lk::Lanes::kPositions, ti * di);
   }
+  p.a = cols;
+  p.a_group = m * k;
+  p.mask = mask;
+  p.b = qw;
+  p.b_group = k * jd;
+  Tensor votes(Shape{m, ti, spec_.out_types, spec_.out_dim});
+  quant::lut_gemm_dequant(p, px, pw, tables, unit.unit.adder, nullptr,
+                          quant::LutOutput{votes.data().data(), ti * jd, jd});
   return votes;
 }
 

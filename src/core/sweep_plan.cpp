@@ -23,7 +23,7 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 /// The emulation plan mapping every MAC-output layer of `model` (discovered
 /// by probing with `probe`) onto `component` at `bits` — the same site set
 /// a deployment manifest plans. False when the component name is unknown
-/// to the approximate-multiplier library.
+/// to the approximate-multiplier library or `bits` is outside [1, 8].
 bool make_component_plan(capsnet::CapsModel& model, const Tensor& probe,
                          const std::string& component, int bits,
                          backend::EmulationPlan* out) {
@@ -149,9 +149,9 @@ GridPlan plan_attack_emulated(const attack::Scenario& scenario,
   for (const std::string& component : components) {
     if (!backend::EmulationPlan().set_by_name("probe", component, /*adder=*/"", bits)) {
       std::fprintf(stderr,
-                   "redcane::core: skipping unknown emulated component '%s' in "
-                   "Step-8 grid\n",
-                   component.c_str());
+                   "redcane::core: skipping emulated component '%s' at %d bits in "
+                   "Step-8 grid (unknown name or wordlength)\n",
+                   component.c_str(), bits);
       continue;
     }
     plan.components.push_back(component);

@@ -198,6 +198,9 @@ bool decode_shard(util::ByteReader& r, core::SweepShard* s) {
         r.str(&s->component) && r.u32(&bits) && r.count(kMinPointBytes, &npoints)))
     return false;
   if (backend > static_cast<std::uint8_t>(core::ShardBackend::kEmulated)) return false;
+  // Emulation quantizes to 1..8-bit codes; a wider value would size the
+  // product table past its 256x256 operand range.
+  if (bits < 1 || bits > 8) return false;
   s->backend = static_cast<core::ShardBackend>(backend);
   s->bits = static_cast<int>(bits);
   s->points.resize(npoints);

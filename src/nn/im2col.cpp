@@ -1,5 +1,6 @@
 #include "nn/im2col.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,35 +116,87 @@ void col2im(const float* cols, const ConvDims& d, float* x) {
 }
 
 void im2col_codes(const std::uint8_t* x, const ConvDims& d, std::uint8_t* cols,
-                  std::uint8_t* mask) {
-  const std::int64_t row_len = d.cols();
-  for (std::int64_t ni = 0; ni < d.n; ++ni) {
-    for (std::int64_t oy = 0; oy < d.ho; ++oy) {
-      for (std::int64_t ox = 0; ox < d.wo; ++ox) {
-        const std::int64_t base = ((ni * d.ho + oy) * d.wo + ox) * row_len;
-        std::uint8_t* row = cols + base;
-        std::uint8_t* mrow = mask + base;
-        for (std::int64_t ky = 0; ky < d.kh; ++ky) {
-          const std::int64_t iy = oy * d.stride + ky - d.pad;
-          std::uint8_t* dst = row + ky * d.kw * d.cin;
-          std::uint8_t* mdst = mrow + ky * d.kw * d.cin;
-          if (iy < 0 || iy >= d.h) {
-            std::memset(dst, 0, static_cast<std::size_t>(d.kw * d.cin));
-            std::memset(mdst, 0, static_cast<std::size_t>(d.kw * d.cin));
-            continue;
-          }
-          const std::uint8_t* src_row = x + ((ni * d.h + iy) * d.w) * d.cin;
-          const std::int64_t ix0 = ox * d.stride - d.pad;
-          for (std::int64_t kx = 0; kx < d.kw; ++kx) {
-            const std::int64_t ix = ix0 + kx;
-            if (ix < 0 || ix >= d.w) {
-              std::memset(dst + kx * d.cin, 0, static_cast<std::size_t>(d.cin));
-              std::memset(mdst + kx * d.cin, 0, static_cast<std::size_t>(d.cin));
-            } else {
-              std::memcpy(dst + kx * d.cin, src_row + ix * d.cin,
-                          static_cast<std::size_t>(d.cin));
-              std::memset(mdst + kx * d.cin, 1, static_cast<std::size_t>(d.cin));
+                  std::uint8_t* mask, bool tap_major, std::int64_t pixel_stride) {
+  const std::int64_t ps = pixel_stride == 0 ? d.cin : pixel_stride;
+  const std::int64_t m = d.rows();
+  const std::int64_t k = d.cols();
+  // Sets `len` elements from `e` on (a null mask is not written).
+  const auto fill = [](std::uint8_t* dst, std::int64_t e, std::int64_t len, std::uint8_t v) {
+    if (dst != nullptr) std::memset(dst + e, v, static_cast<std::size_t>(len));
+  };
+
+  if (!tap_major) {
+    for (std::int64_t ni = 0; ni < d.n; ++ni) {
+      for (std::int64_t oy = 0; oy < d.ho; ++oy) {
+        for (std::int64_t ox = 0; ox < d.wo; ++ox) {
+          const std::int64_t row = ((ni * d.ho + oy) * d.wo + ox) * k;
+          for (std::int64_t ky = 0; ky < d.kh; ++ky) {
+            const std::int64_t iy = oy * d.stride + ky - d.pad;
+            const std::int64_t e = row + ky * d.kw * d.cin;
+            if (iy < 0 || iy >= d.h) {
+              fill(cols, e, d.kw * d.cin, 0);
+              fill(mask, e, d.kw * d.cin, 0);
+              continue;
             }
+            const std::uint8_t* src_row = x + ((ni * d.h + iy) * d.w) * ps;
+            const std::int64_t ix0 = ox * d.stride - d.pad;
+            if (ps == d.cin && ix0 >= 0 && ix0 + d.kw <= d.w) {  // One run per kernel row.
+              std::memcpy(cols + e, src_row + ix0 * ps, static_cast<std::size_t>(d.kw * d.cin));
+              fill(mask, e, d.kw * d.cin, 1);
+              continue;
+            }
+            for (std::int64_t kx = 0; kx < d.kw; ++kx) {
+              const std::int64_t ix = ix0 + kx;
+              const bool live = ix >= 0 && ix < d.w;
+              if (live) {
+                std::memcpy(cols + e + kx * d.cin, src_row + ix * ps,
+                            static_cast<std::size_t>(d.cin));
+              } else {
+                fill(cols, e + kx * d.cin, d.cin, 0);
+              }
+              fill(mask, e + kx * d.cin, d.cin, live ? 1 : 0);
+            }
+          }
+        }
+      }
+    }
+    return;
+  }
+
+  // Tap-major: for tap (ky, kx, ci) and image row (ni, oy), the live
+  // positions form one run ox in [lo, hi) reading every stride-th pixel.
+  for (std::int64_t ky = 0; ky < d.kh; ++ky) {
+    for (std::int64_t kx = 0; kx < d.kw; ++kx) {
+      const std::int64_t off = kx - d.pad;  // ix = ox * stride + off
+      const std::int64_t lo =
+          std::min(d.wo, off >= 0 ? 0 : (-off + d.stride - 1) / d.stride);
+      const std::int64_t hi =
+          std::max(lo, std::min(d.wo, d.w - 1 - off < 0 ? 0 : (d.w - 1 - off) / d.stride + 1));
+      for (std::int64_t ci = 0; ci < d.cin; ++ci) {
+        const std::int64_t kk = (ky * d.kw + kx) * d.cin + ci;
+        for (std::int64_t ni = 0; ni < d.n; ++ni) {
+          for (std::int64_t oy = 0; oy < d.ho; ++oy) {
+            const std::int64_t e = kk * m + (ni * d.ho + oy) * d.wo;
+            const std::int64_t iy = oy * d.stride + ky - d.pad;
+            if (iy < 0 || iy >= d.h) {
+              fill(cols, e, d.wo, 0);
+              fill(mask, e, d.wo, 0);
+              continue;
+            }
+            const std::uint8_t* src_row = x + ((ni * d.h + iy) * d.w) * ps + ci;
+            std::uint8_t* dst = cols + e;
+            fill(cols, e, lo, 0);
+            fill(cols, e + hi, d.wo - hi, 0);
+            if (d.stride == 1 && ps == 1) {
+              std::memcpy(dst + lo, src_row + lo + off, static_cast<std::size_t>(hi - lo));
+            } else {
+              for (std::int64_t ox = lo; ox < hi; ++ox) {
+                dst[ox] = src_row[(ox * d.stride + off) * ps];
+              }
+            }
+            fill(mask, e, lo, 0);
+            fill(mask, e + lo, hi - lo, 1);
+            fill(mask, e + hi, d.wo - hi, 0);
           }
         }
       }

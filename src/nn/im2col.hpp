@@ -55,12 +55,21 @@ void im2col(const float* x, const ConvDims& d, float* cols);
 void col2im(const float* cols, const ConvDims& d, float* x);
 
 /// Quantized-code variant for the approximate-multiplier path. Copies
-/// u8 codes into the patch matrix and records tap validity in `mask`
+/// u8 codes into the patch matrix, row-major [rows(), cols()] or, when
+/// `tap_major`, transposed to [cols(), rows()] (the layout the LUT-GEMM
+/// streams with its lanes along output positions). Both layouts are
+/// written as contiguous runs: for tap-major, one copy per (tap, image
+/// row) instead of one per (position, tap). `pixel_stride` is the code
+/// distance between horizontally adjacent input pixels (0 = cin), so a
+/// caller can lower one channel slice of a wider tensor in place.
+///
+/// `mask` (same layout; null = not written) records tap validity
 /// (1 = real tap, 0 = zero-padding). Padding cannot be represented as a
 /// code because the affine zero-point maps real 0 to a nonzero code; the
 /// integer GEMM skips masked-out taps so padded positions contribute true
-/// zero to every accumulator, matching the float reference exactly.
+/// zero to every accumulator, matching the float reference exactly. With
+/// pad == 0 every tap is valid and callers pass no mask.
 void im2col_codes(const std::uint8_t* x, const ConvDims& d, std::uint8_t* cols,
-                  std::uint8_t* mask);
+                  std::uint8_t* mask, bool tap_major = false, std::int64_t pixel_stride = 0);
 
 }  // namespace redcane::nn

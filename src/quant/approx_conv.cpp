@@ -23,12 +23,13 @@ Tensor approx_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   const QuantParams px = fit_params(x, spec.bits);
   const QuantParams pw = fit_params(w, spec.bits);
 
-  // All staging — operand code pools and the code patch matrix with its
-  // validity mask — comes from the per-thread arena; the product table is
-  // served by the process-wide cache (one build per (multiplier, bits) for
-  // the whole process). Padding taps are masked out so they contribute
-  // true zero to every accumulator of the affine expansion the shared
-  // LUT-GEMM core evaluates (quant/lut_gemm.hpp).
+  // All staging — operand code pools and the code patch matrix (laid out
+  // for the orientation the shape rule picks) with its validity mask —
+  // comes from the per-thread arena; the product table is served by the
+  // process-wide cache (one build per (multiplier, bits) for the whole
+  // process). Padding taps are masked out so they contribute true zero to
+  // every accumulator of the affine expansion the shared LUT-GEMM core
+  // evaluates (quant/lut_gemm.hpp); an unpadded conv needs no mask.
   ws::Workspace& wksp = ws::Workspace::tls();
   const ws::Workspace::Scope scope(wksp);
   std::uint8_t* qx = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(x.numel()));
@@ -37,15 +38,22 @@ Tensor approx_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   quantize_u8(w, pw, qw);
   const gemm::lk::LutTables& tables = lut_cache_get(unit.mul, spec.bits);
 
-  const std::int64_t m = d.rows();
-  const std::int64_t k = d.cols();
-  std::uint8_t* cols = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(m * k));
-  std::uint8_t* mask = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(m * k));
-  nn::im2col_codes(qx, d, cols, mask);
+  gemm::lk::LutProblem p;
+  p.m = d.rows();
+  p.n = d.cout;
+  p.k = d.cols();
+  p.lanes = lut_lanes(p.m, p.n, p.k);
+  std::uint8_t* cols = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(p.m * p.k));
+  std::uint8_t* mask =
+      d.pad > 0 ? wksp.alloc<std::uint8_t>(static_cast<std::size_t>(p.m * p.k)) : nullptr;
+  nn::im2col_codes(qx, d, cols, mask, p.lanes == gemm::lk::Lanes::kPositions);
+  p.a = cols;
+  p.mask = mask;
+  p.b = qw;
 
   Tensor out(Shape{d.n, d.ho, d.wo, d.cout});
-  lut_gemm_dequant(m, d.cout, k, cols, mask, px, qw, pw, tables, unit.adder,
-                   bias.empty() ? nullptr : bias.data().data(), out.data().data());
+  lut_gemm_dequant(p, px, pw, tables, unit.adder, bias.empty() ? nullptr : bias.data().data(),
+                   LutOutput{out.data().data(), d.cout, 0});
   return out;
 }
 

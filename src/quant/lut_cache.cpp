@@ -1,5 +1,7 @@
 #include "quant/lut_cache.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,6 +39,10 @@ Cache& cache() {
 }  // namespace
 
 const gemm::lk::LutTables& lut_cache_get(const approx::Multiplier* mul, int bits) {
+  if (bits < 1 || bits > 8) {
+    std::fprintf(stderr, "redcane::quant fatal: LUT wordlength %d outside [1, 8]\n", bits);
+    std::abort();
+  }
   const approx::Multiplier& m = mul == nullptr ? approx::exact_multiplier() : *mul;
   Key key{&m, m.info().name, bits};
 
@@ -51,7 +57,8 @@ const gemm::lk::LutTables& lut_cache_get(const approx::Multiplier* mul, int bits
   }
 
   // Build outside the lock: table materialization (65536 virtual multiply
-  // calls + the nibble proofs) is the expensive part, and concurrent
+  // calls, the nibble proofs, and the column view of an asymmetric
+  // table) is the expensive part, and concurrent
   // first-touch builders of the same key must not serialize behind it.
   // The loser of the insert race discards its build.
   std::vector<std::uint32_t> raw(256 * 256);

@@ -39,9 +39,11 @@ struct LutCacheStats {
 };
 
 /// The prepared product table of (`mul`, `bits`), building and caching it
-/// on first use. Null `mul` means the exact multiplier (same normalization
-/// as build_product_lut). Thread-safe; the reference is valid until the
-/// entry is invalidated (library multipliers: never).
+/// on first use, column view included when the table is asymmetric. Null
+/// `mul` means the exact multiplier (same normalization as
+/// build_product_lut). `bits` must lie in [1, 8] (aborts otherwise).
+/// Thread-safe; the reference is valid until the entry is invalidated
+/// (library multipliers: never).
 [[nodiscard]] const gemm::lk::LutTables& lut_cache_get(const approx::Multiplier* mul,
                                                        int bits = 8);
 

@@ -1,5 +1,8 @@
 #include "quant/lut_gemm.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include "approx/library.hpp"
 #include "quant/lut_cache.hpp"
 #include "tensor/lut_kernel.hpp"
@@ -7,6 +10,10 @@
 
 namespace redcane::quant {
 namespace {
+
+/// Below this many MACs a call runs on the calling thread: the fan-out
+/// would cost more than it saves.
+constexpr double kParallelMacs = 1 << 20;
 
 /// gemm::U32Accum adapter over a behavioral adder.
 class AdderAccum final : public gemm::U32Accum {
@@ -32,49 +39,66 @@ void build_product_lut(const approx::Multiplier* mul, std::uint32_t* lut) {
   }
 }
 
-void lut_gemm_dequant(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::uint8_t* a_codes, const std::uint8_t* a_mask,
-                      const QuantParams& pa, const std::uint8_t* b_codes,
-                      const QuantParams& pb, const gemm::lk::LutTables& tables,
-                      const approx::Adder* adder, const float* bias, float* out) {
-  ws::Workspace& wksp = ws::Workspace::tls();
-  const ws::Workspace::Scope scope(wksp);
-  std::uint64_t* acc_qw = wksp.alloc<std::uint64_t>(static_cast<std::size_t>(m * n));
-  std::uint64_t* acc_qa = wksp.alloc<std::uint64_t>(static_cast<std::size_t>(m));
-  std::int64_t* taps = wksp.alloc<std::int64_t>(static_cast<std::size_t>(m));
+gemm::lk::Lanes lut_lanes(std::int64_t m, std::int64_t n, std::int64_t k) {
+  // Set from single-thread timings of both orientations (AVX2, exact and
+  // drum4 tables): positions win 1.3-14x from 64x16x9 and 40x16x36 up to
+  // 25600x8x81, channels win ~2x at 1024x32x8 and at every m of the
+  // ClassCaps shape n = 80, k = 4, and 20x16x36 and 16x16x144 are a wash.
+  return m >= 2 * n && n <= 2 * k ? gemm::lk::Lanes::kPositions : gemm::lk::Lanes::kChannels;
+}
 
+void lut_gemm_dequant(const gemm::lk::LutProblem& p, const QuantParams& pa,
+                      const QuantParams& pb, const gemm::lk::LutTables& tables,
+                      const approx::Adder* adder, const float* bias, const LutOutput& out) {
+  const std::int64_t n = p.n;
+  const std::int64_t rb = gemm::lk::block_rows(p.lanes, n, p.k);
+  const std::int64_t blocks = (p.m + rb - 1) / rb;
+  const std::int64_t tasks = p.groups * blocks;
+  const double macs = static_cast<double>(p.groups) * static_cast<double>(p.m) *
+                      static_cast<double>(n) * static_cast<double>(p.k);
   // The exact path keeps 64-bit product sums (unbounded k); the adder path
   // runs the 32-bit accumulator datapath the chain models. Both feed the
   // identical dequantization, so an exact adder object reproduces the
   // exact-path floats bit-for-bit (8-bit code sums stay far below 2^32).
-  std::uint64_t* qq64 = nullptr;
-  std::uint32_t* qq32 = nullptr;
-  if (adder == nullptr) {
-    qq64 = wksp.alloc<std::uint64_t>(static_cast<std::size_t>(m * n));
-    gemm::lk::lut_gemm_u8(m, n, k, a_codes, a_mask, b_codes, tables, qq64, acc_qw, acc_qa,
-                          taps);
-  } else {
-    qq32 = wksp.alloc<std::uint32_t>(static_cast<std::size_t>(m * n));
-    const AdderAccum accum(*adder);
-    gemm::lk::lut_gemm_u8_chain(m, n, k, a_codes, a_mask, b_codes, tables, accum, qq32,
-                                acc_qw, acc_qa, taps);
-  }
-
+  std::optional<AdderAccum> chain;
+  if (adder != nullptr) chain.emplace(*adder);
+  const gemm::U32Accum* accum = chain ? &*chain : nullptr;
   const double sa = pa.step();
   const double sb = pb.step();
-#pragma omp parallel for schedule(static) if (m >= 64)
-  for (std::int64_t r = 0; r < m; ++r) {
-    const double row_base =
-        pa.min * pb.min * static_cast<double>(taps[static_cast<std::size_t>(r)]) +
-        pb.min * sa * static_cast<double>(acc_qa[static_cast<std::size_t>(r)]);
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::size_t idx = static_cast<std::size_t>(r * n + j);
-      double v = row_base;
-      v += pa.min * sb * static_cast<double>(acc_qw[idx]);
-      v += sa * sb *
-           (qq64 != nullptr ? static_cast<double>(qq64[idx]) : static_cast<double>(qq32[idx]));
-      if (bias != nullptr) v += bias[j];
-      out[idx] = static_cast<float>(v);
+
+#pragma omp parallel for schedule(static) if (tasks > 1 && macs >= kParallelMacs)
+  for (std::int64_t task = 0; task < tasks; ++task) {
+    const std::int64_t g = task / blocks;
+    const std::int64_t i0 = (task % blocks) * rb;
+    const std::int64_t rows = std::min(p.m, i0 + rb) - i0;
+    ws::Workspace& wksp = ws::Workspace::tls();
+    const ws::Workspace::Scope scope(wksp);
+    const auto cells = static_cast<std::size_t>(rows * n);
+    gemm::lk::LutBlockOut acc;
+    if (accum == nullptr) {
+      acc.qq64 = wksp.alloc<std::uint64_t>(cells);
+    } else {
+      acc.qq32 = wksp.alloc<std::uint32_t>(cells);
+    }
+    acc.qw = wksp.alloc<std::uint64_t>(cells);
+    acc.qa = wksp.alloc<std::uint64_t>(static_cast<std::size_t>(rows));
+    acc.taps = wksp.alloc<std::int64_t>(static_cast<std::size_t>(rows));
+    gemm::lk::lut_block(p, g, i0, i0 + rows, tables, accum, acc);
+
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const double row_base = pa.min * pb.min * static_cast<double>(acc.taps[r]) +
+                              pb.min * sa * static_cast<double>(acc.qa[r]);
+      float* orow = out.data + g * out.group + (i0 + r) * out.row;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::size_t idx = static_cast<std::size_t>(r * n + j);
+        double v = row_base;
+        v += pa.min * sb * static_cast<double>(acc.qw[idx]);
+        v += sa * sb *
+             (accum == nullptr ? static_cast<double>(acc.qq64[idx])
+                               : static_cast<double>(acc.qq32[idx]));
+        if (bias != nullptr) v += bias[j];
+        orow[j] = static_cast<float>(v);
+      }
     }
   }
 }
@@ -95,9 +119,23 @@ Tensor approx_matmul(const Tensor& a, const Tensor& b, const Tensor& bias,
   quantize_u8(b, pb, qb);
   const gemm::lk::LutTables& tables = lut_cache_get(unit.mul, bits);
 
+  gemm::lk::LutProblem p;
+  p.lanes = lut_lanes(m, n, k);
+  p.m = m;
+  p.n = n;
+  p.k = k;
+  p.a = qa;
+  p.b = qb;
+  if (p.lanes == gemm::lk::Lanes::kPositions) {
+    std::uint8_t* tap_major = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(a.numel()));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t kk = 0; kk < k; ++kk) tap_major[kk * m + i] = qa[i * k + kk];
+    }
+    p.a = tap_major;
+  }
   Tensor out(Shape{m, n});
-  lut_gemm_dequant(m, n, k, qa, nullptr, pa, qb, pb, tables, unit.adder,
-                   bias.empty() ? nullptr : bias.data().data(), out.data().data());
+  lut_gemm_dequant(p, pa, pb, tables, unit.adder, bias.empty() ? nullptr : bias.data().data(),
+                   LutOutput{out.data().data(), n, 0});
   return out;
 }
 

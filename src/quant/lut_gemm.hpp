@@ -13,9 +13,10 @@
 //
 // Only the code-by-code product term touches the approximate units; the
 // cross terms are dequantization bookkeeping and stay exact. Callers:
-// quant::approx_conv2d (single conv), the capsule vote layers (grouped
-// GEMMs sharing one table per layer call), and nn::Dense — all staging
-// (codes, table, accumulators) carved from the per-thread workspace arena.
+// quant::approx_conv2d (single conv), the capsule vote layers (one
+// grouped call per layer, sharing one table and one pair of params), and
+// nn::Dense — all staging (codes, table, accumulators) carved from the
+// per-thread workspace arena.
 #pragma once
 
 #include "approx/adder.hpp"
@@ -41,21 +42,36 @@ struct MacUnit {
 /// build and prepares the SIMD dispatch metadata.
 void build_product_lut(const approx::Multiplier* mul, std::uint32_t* lut);
 
-/// The core: A codes [m, k] (optional validity mask, null = all taps
-/// valid), B codes [k, n], a prepared product table (usually from the
-/// process-wide cache), and the affine params both operands were quantized
-/// with. Accumulates through `adder` when non-null (one chain in ascending
-/// k per output element), exactly otherwise, then dequantizes into `out`
-/// [m, n] (adding `bias` [n] when non-null). The integer core runs through
-/// the dispatched LUT microkernels (tensor/lut_kernel.hpp); accumulator
-/// scratch comes from the per-thread workspace arena; rows are processed
-/// independently, so results are bit-identical across thread counts and
-/// dispatch tiers.
-void lut_gemm_dequant(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::uint8_t* a_codes, const std::uint8_t* a_mask,
-                      const QuantParams& pa, const std::uint8_t* b_codes,
+/// The one orientation rule of the emulated MAC core, for an m x n output
+/// over k taps: lanes along the output positions when they are at least
+/// twice as many as the channels (m >= 2n) and the taps amortize the
+/// per-channel set-up of that orientation (n <= 2k), else along the
+/// channels. Every emulated layer asks it before laying out its activation
+/// codes; nothing else picks an orientation. The results are bitwise the
+/// same either way (tensor/lut_kernel.hpp); only the speed differs.
+[[nodiscard]] gemm::lk::Lanes lut_lanes(std::int64_t m, std::int64_t n, std::int64_t k);
+
+/// Where a grouped product's floats go: element (g, i, j) lands at
+/// data[g * group + i * row + j].
+struct LutOutput {
+  float* data = nullptr;
+  std::int64_t row = 0;
+  std::int64_t group = 0;
+};
+
+/// The core: `p` names every group's activation codes (laid out for
+/// p.lanes, usually lut_lanes(p.m, p.n, p.k)), validity mask and weight codes;
+/// `tables` is the prepared product table (usually from the process-wide
+/// cache), and pa/pb the affine params both operands were quantized with.
+/// Accumulates through `adder` when non-null (one chain in ascending k per
+/// output element), exactly otherwise, then dequantizes into `out`
+/// (adding `bias` [n] when non-null). One call serves a whole grouped
+/// layer: the table, the params and the thread fan-out are shared across
+/// groups, and threads split only across output elements, so results are
+/// bit-identical across thread counts, orientations and dispatch tiers.
+void lut_gemm_dequant(const gemm::lk::LutProblem& p, const QuantParams& pa,
                       const QuantParams& pb, const gemm::lk::LutTables& tables,
-                      const approx::Adder* adder, const float* bias, float* out);
+                      const approx::Adder* adder, const float* bias, const LutOutput& out);
 
 /// Emulated matrix product: a [m, k] * b [k, n] (+ bias [n], may be empty)
 /// through `unit` at `bits`-wide operand quantization. Quantization params

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "approx/error_profile.hpp"
 #include "approx/library.hpp"
+#include "nn/im2col.hpp"
+#include "quant/lut_cache.hpp"
+#include "tensor/microkernel.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tensor/stats.hpp"
@@ -103,6 +108,141 @@ TEST(ApproxConv, GaussianNoiseModelPredictsRealErrorScale) {
       approx::profile_multiplier(m, approx::InputDistribution::uniform(), pc);
   EXPECT_GT(real_nm, profile.nm / 10.0);
   EXPECT_LT(real_nm, profile.nm * 10.0);
+}
+
+/// A multiplier whose product depends on operand order, so a kernel that
+/// read a row of the table where it needed a column would show.
+class SkewedMultiplier final : public approx::Multiplier {
+ public:
+  SkewedMultiplier() : approx::Multiplier({"test_skewed_mul", "skewed", 0, "", 0.0, 0.0}) {}
+  [[nodiscard]] std::uint32_t multiply(std::uint8_t a, std::uint8_t b) const override {
+    return static_cast<std::uint32_t>(a) * (b & 0xFC) + (a >> 5);
+  }
+};
+
+/// From-scratch oracle of approx_conv2d: quantize both operands with the
+/// scalar reference quantizer, run the direct convolution over the codes
+/// (each product through `mul`, summed in ascending tap order exactly or
+/// through `adder`), and dequantize in the pinned expression order.
+Tensor oracle_conv(const Tensor& x, const Tensor& w, const Tensor& bias,
+                   const ApproxConvSpec& spec, const approx::Multiplier& mul,
+                   const approx::Adder* adder) {
+  const std::int64_t n = x.shape().dim(0), h = x.shape().dim(1), wd = x.shape().dim(2);
+  const std::int64_t cin = x.shape().dim(3), kh = w.shape().dim(0), kw = w.shape().dim(1);
+  const std::int64_t cout = w.shape().dim(3);
+  const std::int64_t ho = (h + 2 * spec.pad - kh) / spec.stride + 1;
+  const std::int64_t wo = (wd + 2 * spec.pad - kw) / spec.stride + 1;
+  const QuantParams px = fit_params(x, spec.bits);
+  const QuantParams pw = fit_params(w, spec.bits);
+  const std::vector<std::uint32_t> qx = quantize(x, px);
+  const std::vector<std::uint32_t> qw = quantize(w, pw);
+  const double sx = px.step();
+  const double sw = pw.step();
+  Tensor out(Shape{n, ho, wo, cout});
+  for (std::int64_t ni = 0; ni < n; ++ni) {
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        for (std::int64_t co = 0; co < cout; ++co) {
+          std::uint64_t qq = 0, qwsum = 0, qa = 0;
+          std::uint32_t chain = 0;
+          std::int64_t taps = 0;
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            for (std::int64_t kx = 0; kx < kw; ++kx) {
+              const std::int64_t iy = oy * spec.stride + ky - spec.pad;
+              const std::int64_t ix = ox * spec.stride + kx - spec.pad;
+              if (iy < 0 || iy >= h || ix < 0 || ix >= wd) continue;
+              for (std::int64_t ci = 0; ci < cin; ++ci) {
+                const auto a = static_cast<std::uint8_t>(qx[static_cast<std::size_t>(
+                    ((ni * h + iy) * wd + ix) * cin + ci)]);
+                const auto b = static_cast<std::uint8_t>(
+                    qw[static_cast<std::size_t>(((ky * kw + kx) * cin + ci) * cout + co)]);
+                const std::uint32_t prod = mul.multiply(a, b);
+                qq += prod;
+                chain = adder == nullptr ? chain + prod : adder->add(chain, prod);
+                qwsum += b;
+                qa += a;
+                ++taps;
+              }
+            }
+          }
+          const double row_base = px.min * pw.min * static_cast<double>(taps) +
+                                  pw.min * sx * static_cast<double>(qa);
+          double v = row_base;
+          v += px.min * sw * static_cast<double>(qwsum);
+          v += sx * sw * (adder == nullptr ? static_cast<double>(qq) : static_cast<double>(chain));
+          if (!bias.empty()) v += bias.at(co);
+          out.at(((ni * ho + oy) * wo + ox) * cout + co) = static_cast<float>(v);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Restores the float + LUT dispatch on scope exit.
+class DispatchGuard {
+ public:
+  DispatchGuard() : saved_(gemm::mk::active().target) {}
+  ~DispatchGuard() { gemm::mk::force(saved_); }
+
+ private:
+  gemm::mk::Target saved_;
+};
+
+TEST(ApproxConv, MatchesIndependentIntegerOracleBitwiseOnEveryTier) {
+  // Shapes on both sides of the orientation rule (lut_lanes): CapsNet-like
+  // 9x9 convs and strided convs put the lanes along positions; the wide
+  // 3x3 conv on a 3x3 image and the 1x1-output conv keep them on channels.
+  using gemm::lk::Lanes;
+  struct Case {
+    Shape x, w;
+    int stride, pad;
+    Lanes lanes;  ///< What the rule picks for this conv.
+  };
+  const Case cases[] = {
+      {Shape{1, 16, 16, 1}, Shape{9, 9, 1, 8}, 1, 0, Lanes::kPositions},  // 64 x 8 x 81
+      {Shape{2, 9, 9, 3}, Shape{3, 3, 3, 5}, 2, 1, Lanes::kPositions},    // padded, strided
+      {Shape{1, 8, 8, 4}, Shape{3, 3, 4, 6}, 1, 1, Lanes::kPositions},    // padded
+      {Shape{1, 3, 3, 2}, Shape{3, 3, 2, 40}, 1, 1, Lanes::kChannels},    // m = 9 < 2n
+      {Shape{3, 5, 5, 2}, Shape{5, 5, 2, 12}, 2, 0, Lanes::kChannels},    // 1x1 output
+      {Shape{2, 6, 6, 1}, Shape{2, 2, 1, 4}, 2, 1, Lanes::kPositions},    // k = 4 = n
+  };
+  const SkewedMultiplier skewed;
+  const approx::Multiplier* muls[] = {&approx::exact_multiplier(),
+                                      &approx::multiplier_by_name("axm_drum4_dm1"),
+                                      &approx::multiplier_by_name("axm_res2_14vp"), &skewed};
+  const approx::Adder* adders[] = {nullptr, &approx::adder_by_name("axa_loa6")};
+  Rng rng(77);
+  const DispatchGuard guard;
+  for (const Case& c : cases) {
+    const Tensor x = ops::uniform(c.x, -0.3, 1.0, rng);
+    const Tensor w = ops::uniform(c.w, -0.5, 0.5, rng);
+    const Tensor bias = ops::uniform(Shape{c.w.dim(3)}, -0.1, 0.1, rng);
+    ApproxConvSpec spec;
+    spec.stride = c.stride;
+    spec.pad = c.pad;
+    const nn::ConvDims d = nn::make_conv_dims(c.x, c.w, c.stride, c.pad);
+    ASSERT_EQ(lut_lanes(d.rows(), d.cout, d.cols()), c.lanes) << c.x.to_string();
+    for (const approx::Multiplier* mul : muls) {
+      for (const approx::Adder* adder : adders) {
+        const Tensor want = oracle_conv(x, w, bias, spec, *mul, adder);
+        for (const gemm::mk::Target t :
+             {gemm::mk::Target::kScalar, gemm::mk::Target::kSse, gemm::mk::Target::kAvx2}) {
+          if (!gemm::mk::force(t)) continue;
+          const Tensor got = approx_conv2d(x, w, bias, spec, MacUnit{mul, adder});
+          ASSERT_EQ(want.shape(), got.shape());
+          for (std::int64_t i = 0; i < want.numel(); ++i) {
+            ASSERT_EQ(want.at(i), got.at(i))
+                << c.x.to_string() << " * " << c.w.to_string() << " stride " << c.stride
+                << " pad " << c.pad << " " << mul->info().name << "/"
+                << (adder == nullptr ? "exact-acc" : adder->info().name) << " tier "
+                << static_cast<int>(t) << " at " << i;
+          }
+        }
+      }
+    }
+  }
+  lut_cache_invalidate(&skewed);
 }
 
 TEST(ApproxConv, ValidPaddingSkipsBorder) {

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -27,7 +28,9 @@
 #include "capsnet/capsnet_model.hpp"
 #include "capsnet/class_caps.hpp"
 #include "capsnet/conv_caps3d.hpp"
+#include "capsnet/deepcaps_model.hpp"
 #include "capsnet/trainer.hpp"
+#include "core/groups.hpp"
 #include "core/methodology.hpp"
 #include "core/sweep_engine.hpp"
 #include "data/synthetic.hpp"
@@ -35,6 +38,7 @@
 #include "nn/dense.hpp"
 #include "quant/approx_conv.hpp"
 #include "quant/lut_gemm.hpp"
+#include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -211,6 +215,18 @@ TEST(Emulation, PlanRejectsUnknownComponentNames) {
   EXPECT_EQ(plan.find("L")->unit.adder->info().name, "axa_loa6");
 }
 
+TEST(Emulation, PlanRejectsWordlengthsOutsideTheCodeRange) {
+  EmulationPlan plan;
+  for (const int bits : {0, -1, 9, 16, 32, 1 << 30}) {
+    EXPECT_FALSE(plan.set_by_name("L", "axm_drum4_dm1", "", bits)) << bits;
+  }
+  EXPECT_EQ(plan.size(), 0U);
+  EXPECT_TRUE(plan.set_by_name("L", "axm_drum4_dm1", "", 1));
+  EXPECT_TRUE(plan.set_by_name("L", "axm_drum4_dm1", "", 8));
+  ASSERT_NE(plan.find("L"), nullptr);
+  EXPECT_EQ(plan.find("L")->bits, 8);
+}
+
 TEST(Emulation, DenseMatchesApproxMatmulBitwise) {
   Rng rng(8);
   nn::Dense dense("DenseZ", 12, 7, rng);
@@ -226,6 +242,58 @@ TEST(Emulation, DenseMatchesApproxMatmulBitwise) {
   ASSERT_EQ(want.shape(), got.shape());
   for (std::int64_t i = 0; i < want.numel(); ++i) {
     ASSERT_EQ(want.at(i), got.at(i)) << "at " << i;
+  }
+}
+
+TEST(Emulation, ApproxMatmulMatchesAffineOracleInBothOrientations) {
+  // 64 x 7 over 12 taps lays its codes out tap-major (lanes along the 64
+  // rows); 5 x 7 keeps them row-major. Both must equal the affine
+  // expansion coded from scratch, through a multiplier and an adder chain.
+  Rng rng(12);
+  const approx::Multiplier& mul = approx::multiplier_by_name("axm_res2_14vp");
+  const approx::Adder& loa = approx::adder_by_name("axa_loa6");
+  for (const std::int64_t m : {64, 5}) {
+    const std::int64_t k = 12;
+    const std::int64_t n = 7;
+    ASSERT_EQ(quant::lut_lanes(m, n, k), m == 64 ? gemm::lk::Lanes::kPositions
+                                                 : gemm::lk::Lanes::kChannels);
+    const Tensor a = ops::uniform(Shape{m, k}, -1.0, 1.0, rng);
+    const Tensor b = ops::uniform(Shape{k, n}, -0.5, 0.5, rng);
+    const Tensor bias = ops::uniform(Shape{n}, -0.1, 0.1, rng);
+    const quant::QuantParams pa = quant::fit_params(a, 8);
+    const quant::QuantParams pb = quant::fit_params(b, 8);
+    const std::vector<std::uint32_t> qa = quant::quantize(a, pa);
+    const std::vector<std::uint32_t> qb = quant::quantize(b, pb);
+    for (const approx::Adder* adder : {static_cast<const approx::Adder*>(nullptr), &loa}) {
+      const Tensor got = quant::approx_matmul(a, b, bias, quant::MacUnit{&mul, adder}, 8);
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::uint64_t sum_qa = 0;
+        for (std::int64_t kk = 0; kk < k; ++kk) sum_qa += qa[static_cast<std::size_t>(i * k + kk)];
+        const double row_base = pa.min * pb.min * static_cast<double>(k) +
+                                pb.min * pa.step() * static_cast<double>(sum_qa);
+        for (std::int64_t j = 0; j < n; ++j) {
+          std::uint64_t sum_qq = 0;
+          std::uint64_t sum_qw = 0;
+          std::uint32_t chain = 0;
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            const auto x = static_cast<std::uint8_t>(qa[static_cast<std::size_t>(i * k + kk)]);
+            const auto w = static_cast<std::uint8_t>(qb[static_cast<std::size_t>(kk * n + j)]);
+            const std::uint32_t prod = mul.multiply(x, w);
+            sum_qq += prod;
+            chain = adder == nullptr ? chain + prod : adder->add(chain, prod);
+            sum_qw += w;
+          }
+          double v = row_base;
+          v += pa.min * pb.step() * static_cast<double>(sum_qw);
+          v += pa.step() * pb.step() *
+               (adder == nullptr ? static_cast<double>(sum_qq) : static_cast<double>(chain));
+          v += bias.at(j);
+          ASSERT_EQ(static_cast<float>(v), got.at(i * n + j))
+              << "m " << m << (adder == nullptr ? " exact" : " loa6") << " at (" << i << ", "
+              << j << ")";
+        }
+      }
+    }
   }
 }
 
@@ -335,6 +403,58 @@ TEST(Emulation, ConvCaps3DVotesTrackFloatPathWithExactUnit) {
     if (rough.at(i) != emulated.at(i)) differs = true;
   }
   EXPECT_TRUE(differs);
+}
+
+/// FNV-1a over the bit patterns of `t`'s floats, continuing from `h`.
+std::uint64_t fnv1a_floats(std::uint64_t h, const Tensor& t) {
+  for (const float v : t.data()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+// Every emulated float of whole-model runs, pinned by value: CapsNet-tiny
+// (conv1 and PrimaryCaps unpadded, ClassCaps votes) at b1/b3/b64 and
+// DeepCaps-tiny (padded ConvCaps2D/3D) at b1/b4, each through three
+// multipliers with exact accumulation and with an approximate adder. The
+// constant was recorded before the LUT-GEMM orientation change; any kernel
+// layout, lane order or dequantization rewrite must leave it unchanged.
+TEST(Emulation, PinnedWholeModelDigest) {
+  Rng rng(2020);
+  capsnet::CapsNetModel capsnet(capsnet::CapsNetConfig::tiny(), rng);
+  capsnet::DeepCapsModel deepcaps(capsnet::DeepCapsConfig::tiny(), rng);
+  struct Case {
+    capsnet::CapsModel* model;
+    std::int64_t hw;
+    std::int64_t channels;
+    std::int64_t batch;
+  };
+  const Case cases[] = {{&capsnet, 28, 1, 1},  {&capsnet, 28, 1, 3},  {&capsnet, 28, 1, 64},
+                        {&deepcaps, 16, 3, 1}, {&deepcaps, 16, 3, 4}};
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const Case& c : cases) {
+    const Tensor x = ops::uniform(Shape{c.batch, c.hw, c.hw, c.channels}, 0.0, 1.0, rng);
+    const std::vector<core::Site> sites =
+        core::extract_sites(*c.model, capsnet::slice_rows(x, 0, 1));
+    for (const char* mul : {"axm_exact", "axm_drum4_dm1", "axm_res2_14vp"}) {
+      for (const char* adder : {"", "axa_loa6"}) {
+        EmulationPlan plan;
+        for (const core::Site& site : sites) {
+          if (site.kind != capsnet::OpKind::kMacOutput) continue;
+          ASSERT_TRUE(plan.set_by_name(site.layer, mul, adder));
+        }
+        ASSERT_GE(plan.size(), 3U);
+        const EmulatedBackend emu(std::move(plan));
+        h = fnv1a_floats(h, emu.run(*c.model, x, 0));
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xAA242826F28D324EULL);
 }
 
 TEST(Backends, NoiseBackendReproducesInjectorStream) {

@@ -329,6 +329,28 @@ TEST(DistWire, DecodersRejectNonCanonicalBytes) {
   EXPECT_FALSE(decodes(hidden));
 }
 
+// An emulated shard quantizes to `bits`-wide codes: a wordlength past 8
+// bits would size the product table past its 256x256 range (a stack
+// overflow in the table build), and 0, negative or >= 32 values make the
+// code-range shift undefined. The encoder only writes 8, so this rejects
+// no job the coordinator builds.
+TEST(DistWire, ShardBitsOutsideTheCodeRangeAreRejected) {
+  const auto decodes_with_bits = [](std::uint32_t bits) {
+    core::SweepShard s = sample_shard();
+    s.backend = core::ShardBackend::kEmulated;
+    s.bits = static_cast<int>(bits);
+    util::ByteWriter w;
+    encode_shard(w, s);
+    core::SweepShard out;
+    util::ByteReader r(w.bytes().data(), w.bytes().size());
+    return decode_shard(r, &out) && out.bits == static_cast<int>(bits);
+  };
+  for (const std::uint32_t bits : {1u, 4u, 8u}) EXPECT_TRUE(decodes_with_bits(bits)) << bits;
+  for (const std::uint32_t bits : {0u, 9u, 16u, 31u, 32u, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu}) {
+    EXPECT_FALSE(decodes_with_bits(bits)) << bits;
+  }
+}
+
 TEST(DistWire, TcpPortFollowsTheNumberRule) {
   for (const char* bad : {"tcp:127.0.0.1:+0", "tcp:127.0.0.1: 1", "tcp:127.0.0.1:65536",
                           "tcp:127.0.0.1:-1", "tcp:127.0.0.1:1x", "tcp:127.0.0.1:0x10"}) {

@@ -586,6 +586,15 @@ TEST(Fuzz, NamedCases) {
   // read any non-zero byte as true, which re-encodes as 0x01.
   EXPECT_EQ(check_wire_payload({0x4D, 0, 0, 0, 0, 0, 0, 0, 0}), 0);
 
+  // An Assign whose emulated shard asks for 9-bit codes: the frame
+  // decodes and re-encodes to itself, so only the range check refuses it
+  // (the table build it reached wrote past a 16-entry stack array).
+  dist::AssignMsg wide;
+  wide.shard = dist::make_standard_job("quick").shards.front();
+  wide.shard.backend = core::ShardBackend::kEmulated;
+  wide.shard.bits = 9;
+  EXPECT_EQ(check_wire_payload(encoded(dist::encode_assign, wide)), 0);
+
   // A record header claiming 0xFFFFFFFF payload bytes after the three good
   // records: a torn tail, refused before anything is sized for it.
   Bytes inflated = journal_seed().bytes;

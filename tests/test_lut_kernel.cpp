@@ -6,9 +6,14 @@
 //    both real product tables (exact = all nibble rows, drum = mixed);
 //  * the approximate-adder chain driver is bit-for-bit the seed chain
 //    kernel under every tier (SIMD staging must not touch chain order);
-//  * LutTables::build proves nibble decomposition per row (never falsely)
-//    and derives a flush cadence that keeps u32 partials exact even for
-//    pathological table values;
+//  * the positions orientation (lanes along m over tap-major codes, a
+//    table column per weight code) and grouped blocks with a shared mask
+//    reproduce the same oracle, for symmetric and asymmetric tables;
+//  * LutTables::build proves nibble decomposition per row (never falsely),
+//    derives a flush cadence that keeps u32 partials exact even for
+//    pathological table values, builds a column view only for tables that
+//    are asymmetric over the reachable codes, and refuses codes wider than
+//    8 bits;
 //  * forcing an unsupported target is rejected without changing dispatch;
 //  * the process-wide LUT cache hits on repeated (multiplier, bits) keys,
 //    separates wordlengths, is race-free on first touch, and drops entries
@@ -17,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -101,6 +107,74 @@ CodeProblem make_problem(std::int64_t m, std::int64_t n, std::int64_t k, int mas
   return p;
 }
 
+/// Every accumulator of one LutProblem run block by block.
+struct BlockSums {
+  std::vector<std::uint64_t> qq64;
+  std::vector<std::uint32_t> qq32;
+  std::vector<std::uint64_t> qw;
+  std::vector<std::uint64_t> qa;
+  std::vector<std::int64_t> taps;
+};
+
+/// Runs `p` (row-major codes) through lut_block in orientation `lanes`,
+/// laying the codes and mask out tap-major for the positions orientation.
+/// Outputs are pre-filled with junk so an unwritten element shows.
+BlockSums run_blocks(const CodeProblem& p, Lanes lanes, const LutTables& tables,
+                     const gemm::U32Accum* accum) {
+  std::vector<std::uint8_t> a = p.a;
+  std::vector<std::uint8_t> mask = p.mask;
+  if (lanes == Lanes::kPositions) {
+    for (std::int64_t i = 0; i < p.m; ++i) {
+      for (std::int64_t kk = 0; kk < p.k; ++kk) {
+        a[static_cast<std::size_t>(kk * p.m + i)] = p.a[static_cast<std::size_t>(i * p.k + kk)];
+        if (!mask.empty()) {
+          mask[static_cast<std::size_t>(kk * p.m + i)] =
+              p.mask[static_cast<std::size_t>(i * p.k + kk)];
+        }
+      }
+    }
+  }
+  LutProblem prob;
+  prob.lanes = lanes;
+  prob.m = p.m;
+  prob.n = p.n;
+  prob.k = p.k;
+  prob.a = a.data();
+  prob.mask = mask.empty() ? nullptr : mask.data();
+  prob.b = p.b.data();
+  const std::size_t mn = static_cast<std::size_t>(p.m * p.n);
+  const std::size_t ms = static_cast<std::size_t>(p.m);
+  BlockSums s;
+  s.qq64.assign(accum == nullptr ? mn : 0, 0xAA);
+  s.qq32.assign(accum == nullptr ? 0 : mn, 0xAA);
+  s.qw.assign(mn, 0xAA);
+  s.qa.assign(ms, 0xAA);
+  s.taps.assign(ms, -1);
+  const std::int64_t rb = block_rows(lanes, p.n, p.k);
+  for (std::int64_t i0 = 0; i0 < p.m; i0 += rb) {
+    LutBlockOut out;
+    out.qq64 = accum == nullptr ? s.qq64.data() + i0 * p.n : nullptr;
+    out.qq32 = accum == nullptr ? nullptr : s.qq32.data() + i0 * p.n;
+    out.qw = s.qw.data() + i0 * p.n;
+    out.qa = s.qa.data() + i0;
+    out.taps = s.taps.data() + i0;
+    lut_block(prob, 0, i0, std::min(p.m, i0 + rb), tables, accum, out);
+  }
+  return s;
+}
+
+/// A table no library multiplier has: lut[a][b] != lut[b][a] for most
+/// pairs, and no row decomposes into nibbles.
+std::vector<std::uint32_t> asymmetric_table() {
+  std::vector<std::uint32_t> t(256 * 256);
+  for (std::uint32_t a = 0; a < 256; ++a) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      t[(a << 8) | b] = a * b + ((a ^ (b >> 1)) & 15) * ((b & 3) + 1);
+    }
+  }
+  return t;
+}
+
 void expect_tiers_match_oracle(const CodeProblem& p, const std::uint32_t* raw,
                                const LutTables& tables, const char* tag) {
   // The exact-adder chain runs the 32-bit accumulator datapath, so it can
@@ -164,6 +238,19 @@ void expect_tiers_match_oracle(const CodeProblem& p, const std::uint32_t* raw,
         ASSERT_EQ(static_cast<std::uint64_t>(cq[i]), qq_o[i]) << "exact chain qq at " << i;
       }
     }
+
+    // The positions orientation (lanes along m over tap-major codes), block
+    // by block: the same sums, exact and through the adder chain.
+    const BlockSums pos = run_blocks(p, Lanes::kPositions, tables, nullptr);
+    EXPECT_EQ(pos.qq64, qq_o);
+    EXPECT_EQ(pos.qw, qw_o);
+    EXPECT_EQ(pos.qa, qa_o);
+    EXPECT_EQ(pos.taps, taps_o);
+    const BlockSums pos_chain = run_blocks(p, Lanes::kPositions, tables, &trunc);
+    EXPECT_EQ(pos_chain.qq32, cq_o);
+    EXPECT_EQ(pos_chain.qw, cw_o);
+    EXPECT_EQ(pos_chain.qa, ca_o);
+    EXPECT_EQ(pos_chain.taps, ctaps_o);
   }
 }
 
@@ -176,11 +263,18 @@ TEST(LutKernel, AllTiersMatchScalarOracleAcrossShapesMasksAndTables) {
   quant::build_product_lut(&approx::multiplier_by_name("axm_drum4_dm1"), lut_drum.data());
   const LutTables t_drum = LutTables::build(lut_drum.data());
 
+  const std::vector<std::uint32_t> lut_asym = asymmetric_table();
+  const LutTables t_asym = LutTables::build(lut_asym.data());
+  ASSERT_NE(t_asym.transposed, nullptr);
+
   // Shapes straddle the lane widths: n in {1, 5, 16, 33, 40} exercises the
   // 32/16-lane bodies and every tail, k odd exercises tap loops, m = 1
-  // exercises the no-parallel edge.
-  const std::int64_t shapes[][3] = {{7, 5, 23}, {3, 33, 17}, {1, 1, 1},
-                                    {5, 64, 48}, {2, 40, 9}, {4, 16, 31}};
+  // exercises the no-parallel edge. The m >> n shapes are CapsNet-tiny's
+  // conv1 and PrimaryCaps at batch 1 (lanes along positions in the
+  // layers), and 37x3x5 gives the positions orientation a 5-lane tail.
+  const std::int64_t shapes[][3] = {{7, 5, 23},  {3, 33, 17},  {1, 1, 1},
+                                    {5, 64, 48}, {2, 40, 9},   {4, 16, 31},
+                                    {400, 8, 81}, {36, 16, 648}, {37, 3, 5}};
   for (const auto& s : shapes) {
     for (int mask_kind = 0; mask_kind < 3; ++mask_kind) {
       const CodeProblem p =
@@ -190,8 +284,152 @@ TEST(LutKernel, AllTiersMatchScalarOracleAcrossShapesMasksAndTables) {
                    std::to_string(s[2]) + " mask_kind=" + std::to_string(mask_kind));
       expect_tiers_match_oracle(p, lut_exact.data(), t_exact, "exact");
       expect_tiers_match_oracle(p, lut_drum.data(), t_drum, "drum4");
+      expect_tiers_match_oracle(p, lut_asym.data(), t_asym, "asymmetric");
     }
   }
+}
+
+TEST(LutKernel, ColumnViewOnlyForAsymmetricTables) {
+  // Every library multiplier commutes on 8-bit codes, so its row view is
+  // its column view and no second copy is built.
+  for (const approx::Multiplier* mul : approx::multiplier_library()) {
+    EXPECT_EQ(quant::lut_cache_get(mul, 8).transposed, nullptr) << mul->info().name;
+  }
+  const std::vector<std::uint32_t> raw = asymmetric_table();
+  const LutTables t = LutTables::build(raw.data());
+  ASSERT_NE(t.transposed, nullptr);
+  EXPECT_EQ(&t.columns(), t.transposed.get());
+  const LutTables& c = t.columns();
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      ASSERT_EQ(c.lut[static_cast<std::size_t>((b << 8) | a)],
+                raw[static_cast<std::size_t>((a << 8) | b)]);
+    }
+  }
+  EXPECT_EQ(c.max_value, t.max_value);
+  EXPECT_EQ(c.flush_every, t.flush_every);
+  EXPECT_EQ(c.transposed, nullptr);
+
+  // Symmetry is judged over the reachable codes only: a table that
+  // differs only past code 15 needs no column view at 4 bits.
+  std::vector<std::uint32_t> low(256 * 256);
+  quant::build_product_lut(nullptr, low.data());
+  low[(200 << 8) | 3] += 1;
+  EXPECT_NE(LutTables::build(low.data()).transposed, nullptr);
+  EXPECT_EQ(LutTables::build(low.data(), 15).transposed, nullptr);
+}
+
+TEST(LutKernel, GroupedBlocksWithSharedMaskMatchPerGroupOracle) {
+  // Three groups with their own codes and weights, one shared padding mask
+  // (mask_group = 0), in both orientations and through both drivers.
+  std::vector<std::uint32_t> raw(256 * 256);
+  quant::build_product_lut(&approx::multiplier_by_name("axm_res2_14vp"), raw.data());
+  const LutTables tables = LutTables::build(raw.data());
+  const AdderAccum loa(approx::adder_by_name("axa_loa6"));
+  const std::int64_t groups = 3;
+  const std::int64_t m = 70;
+  const std::int64_t n = 6;
+  const std::int64_t k = 19;
+  const CodeProblem shared = make_problem(m, n, k, 1, 91);
+  std::vector<CodeProblem> per_group;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    CodeProblem p = make_problem(m, n, k, 0, 300 + static_cast<std::uint64_t>(g));
+    p.mask = shared.mask;
+    per_group.push_back(p);
+  }
+  const DispatchGuard guard;
+  for (const mk::Target t : supported_targets()) {
+    ASSERT_TRUE(mk::force(t));
+    for (const Lanes lanes : {Lanes::kChannels, Lanes::kPositions}) {
+      for (const gemm::U32Accum* accum : {static_cast<const gemm::U32Accum*>(nullptr),
+                                          static_cast<const gemm::U32Accum*>(&loa)}) {
+        SCOPED_TRACE(std::string(ops_for(t).name) +
+                     (lanes == Lanes::kPositions ? " positions" : " channels") +
+                     (accum == nullptr ? " exact" : " chain"));
+        // Pack every group in the orientation's layout.
+        std::vector<std::uint8_t> a(static_cast<std::size_t>(groups * m * k));
+        std::vector<std::uint8_t> mask(static_cast<std::size_t>(m * k));
+        std::vector<std::uint8_t> b(static_cast<std::size_t>(groups * k * n));
+        for (std::int64_t g = 0; g < groups; ++g) {
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+              const std::size_t to = static_cast<std::size_t>(
+                  lanes == Lanes::kPositions ? kk * m + i : i * k + kk);
+              const std::size_t from = static_cast<std::size_t>(i * k + kk);
+              a[static_cast<std::size_t>(g * m * k) + to] = per_group[g].a[from];
+              mask[to] = shared.mask[from];
+            }
+          }
+          std::copy(per_group[g].b.begin(), per_group[g].b.end(),
+                    b.begin() + static_cast<std::ptrdiff_t>(g * k * n));
+        }
+        LutProblem prob;
+        prob.lanes = lanes;
+        prob.m = m;
+        prob.n = n;
+        prob.k = k;
+        prob.groups = groups;
+        prob.a = a.data();
+        prob.a_group = m * k;
+        prob.mask = mask.data();
+        prob.b = b.data();
+        prob.b_group = k * n;
+        for (std::int64_t g = 0; g < groups; ++g) {
+          const CodeProblem& p = per_group[static_cast<std::size_t>(g)];
+          const std::size_t mn = static_cast<std::size_t>(m * n);
+          std::vector<std::uint64_t> qq(mn);
+          std::vector<std::uint32_t> cq(mn);
+          std::vector<std::uint64_t> qw(mn);
+          std::vector<std::uint64_t> qa(static_cast<std::size_t>(m));
+          std::vector<std::int64_t> taps(static_cast<std::size_t>(m));
+          if (accum == nullptr) {
+            gemm::gemm_u8_lut(m, n, k, p.a.data(), p.mask.data(), p.b.data(), raw.data(),
+                              qq.data(), qw.data(), qa.data(), taps.data());
+          } else {
+            gemm::gemm_u8_lut_chain(m, n, k, p.a.data(), p.mask.data(), p.b.data(), raw.data(),
+                                    *accum, cq.data(), qw.data(), qa.data(), taps.data());
+          }
+          std::vector<std::uint64_t> gq(mn, 0xAA);
+          std::vector<std::uint32_t> gc(mn, 0xAA);
+          std::vector<std::uint64_t> gw(mn, 0xAA);
+          std::vector<std::uint64_t> ga(static_cast<std::size_t>(m), 0xAA);
+          std::vector<std::int64_t> gt(static_cast<std::size_t>(m), -1);
+          const std::int64_t rb = block_rows(lanes, n, k);
+          for (std::int64_t i0 = 0; i0 < m; i0 += rb) {
+            LutBlockOut out;
+            out.qq64 = accum == nullptr ? gq.data() + i0 * n : nullptr;
+            out.qq32 = accum == nullptr ? nullptr : gc.data() + i0 * n;
+            out.qw = gw.data() + i0 * n;
+            out.qa = ga.data() + i0;
+            out.taps = gt.data() + i0;
+            lut_block(prob, g, i0, std::min(m, i0 + rb), tables, accum, out);
+          }
+          if (accum == nullptr) {
+            EXPECT_EQ(gq, qq) << "group " << g;
+          } else {
+            EXPECT_EQ(gc, cq) << "group " << g;
+          }
+          EXPECT_EQ(gw, qw) << "group " << g;
+          EXPECT_EQ(ga, qa) << "group " << g;
+          EXPECT_EQ(gt, taps) << "group " << g;
+        }
+      }
+    }
+  }
+}
+
+TEST(LutKernel, TableBuildRefusesCodesPastEightBits) {
+  // Earlier tests started OpenMP threads: re-execute instead of forking.
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+  std::vector<std::uint32_t> raw(256 * 256, 1);
+  EXPECT_DEATH((void)LutTables::build(raw.data(), 256), "max_code 256");
+  EXPECT_DEATH((void)LutTables::build(raw.data(), -1), "max_code -1");
+  EXPECT_DEATH((void)quant::lut_cache_get(nullptr, 9), "wordlength 9");
+  EXPECT_DEATH((void)quant::lut_cache_get(nullptr, 0), "wordlength 0");
 }
 
 TEST(LutKernel, NibbleDecompositionProvenExactlyPerRow) {
@@ -253,6 +491,15 @@ TEST(LutKernel, HugeTableValuesFlushBeforeU32Wrap) {
   const LutTables tz = LutTables::build(zero.data());
   EXPECT_EQ(tz.max_value, 0u);
   EXPECT_EQ(tz.flush_every, 16843009);
+}
+
+TEST(LutKernel, HugeTableValuesFlushMaskedPartialsInBothOrientations) {
+  // flush_every = 3 with padding taps: the masked weight-code and product
+  // partials of both orientations must spill on the same cadence.
+  std::vector<std::uint32_t> huge(256 * 256, 1u << 30);
+  const LutTables t = LutTables::build(huge.data());
+  ASSERT_EQ(t.flush_every, 3);
+  expect_tiers_match_oracle(make_problem(40, 5, 50, 1, 17), huge.data(), t, "huge masked");
 }
 
 TEST(LutKernel, ForcedTargetRejectionAndTierNames) {
