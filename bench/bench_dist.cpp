@@ -2,7 +2,7 @@
 // ways over the same recipe:
 //
 //   serial       — the in-process reference, every plan unchunked on one
-//                  engine, one worker thread, one OpenMP thread
+//                  engine, one worker thread, a one-thread compute pool
 //                  (run_job_in_process).
 //   distributed  — a coordinator plus N worker loops (threads here; real
 //                  deployments use processes — the protocol is identical)
@@ -27,15 +27,12 @@
 #include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "bench_common.hpp"
 #include "core/sweep_plan.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/job.hpp"
 #include "dist/worker.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::bench {
 namespace {
@@ -54,11 +51,9 @@ int run(bool quick, int workers, std::string json_path) {
                std::to_string(workers) + " workers vs in-process serial (" +
                profile + " profile)");
 
-#ifdef _OPENMP
   // The comparison is 1 thread vs N single-threaded workers; don't let the
   // serial reference quietly use the whole machine.
-  omp_set_num_threads(1);
-#endif
+  pool::set_threads(1);
 
   // Serial reference (also the bitwise-identity baseline).
   dist::StandardJob ref_job = dist::make_standard_job(profile);

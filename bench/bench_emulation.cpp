@@ -12,8 +12,8 @@
 //               the shared LUT-accumulate core (quant/lut_gemm.hpp): a
 //               cached product table, one big masked integer GEMM through
 //               the dispatched LUT microkernels (tensor/lut_kernel.hpp)
-//               with OpenMP row parallelism, all staging in the
-//               per-thread workspace arena.
+//               with row blocks split across the compute pool, all
+//               staging in the per-thread workspace arena.
 //
 // The batched path must be >= 2x the per-image path — the gate this binary
 // exits on. A second (ungated, reported) section measures the full-network

@@ -34,6 +34,7 @@
 #include "core/groups.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::bench {
 namespace {
@@ -103,7 +104,7 @@ int run(bool quick, int workers_flag, const std::string& json_path) {
   const std::int64_t hw = 10;
   const std::int64_t requests = quick ? 512 : 2000;
   const int reps = quick ? 5 : 7;
-  const int workers = serve::InferenceServer::resolve_workers(workers_flag);
+  const int workers = workers_flag > 0 ? workers_flag : pool::threads();
 
   data::SyntheticSpec spec;
   spec.kind = data::DatasetKind::kMnist;

@@ -26,6 +26,7 @@
 #include "core/resilience.hpp"
 #include "core/sweep_engine.hpp"
 #include "noise/injector.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::bench {
 namespace {
@@ -164,7 +165,7 @@ int run(bool quick, int threads, const std::string& json_path) {
   for (const attack::Scenario& s : scenarios) rows += s.severities.size();
   const auto noisy_points =
       static_cast<std::int64_t>(rows * (cfg.sweep.nms.size() - 1));
-  const int workers = core::SweepEngine::resolve_threads(threads);
+  const int workers = threads > 0 ? threads : pool::threads();
   std::printf("CapsNet tiny %lldx%lld, %lld test images, %zu scenarios, %zu severity "
               "rows, %lld noisy points, %d worker(s)\n\n",
               static_cast<long long>(mc.input_hw), static_cast<long long>(mc.input_hw),

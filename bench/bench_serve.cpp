@@ -32,6 +32,7 @@
 #include "bench_common.hpp"
 #include "core/groups.hpp"
 #include "serve/server.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::bench {
 namespace {
@@ -180,7 +181,7 @@ int run(bool quick, int workers_flag, const std::string& json_path) {
 
   const std::int64_t hw = 6;
   const std::int64_t requests = quick ? 512 : 1024;
-  const int workers = serve::InferenceServer::resolve_workers(workers_flag);
+  const int workers = workers_flag > 0 ? workers_flag : pool::threads();
 
   data::SyntheticSpec spec;
   spec.kind = data::DatasetKind::kMnist;

@@ -26,6 +26,7 @@
 #include "core/resilience.hpp"
 #include "core/sweep_engine.hpp"
 #include "noise/injector.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::bench {
 namespace {
@@ -147,7 +148,7 @@ int run(bool quick, int threads, const std::string& json_path) {
     (void)job;
     points += static_cast<std::int64_t>(cfg.sweep.nms.size()) - 1;  // NM=0 is free.
   }
-  const int workers = core::SweepEngine::resolve_threads(threads);
+  const int workers = threads > 0 ? threads : pool::threads();
   std::printf("DeepCaps tiny %lldx%lld, %lld test images, %zu sweeps, %lld noisy points, "
               "%d worker(s)\n\n",
               static_cast<long long>(mc.input_hw), static_cast<long long>(mc.input_hw),

@@ -7,6 +7,7 @@
 #include "backend/emulation.hpp"
 #include "quant/lut_cache.hpp"
 #include "tensor/workspace.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::capsnet {
 
@@ -27,26 +28,30 @@ Tensor ClassCaps::compute_votes(const Tensor& x) const {
   const auto xd = x.data();
   const auto wd = w_.value.data();
   auto vd = votes.data();
-#pragma omp parallel for if (n > 2)
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t i = 0; i < ic; ++i) {
-      const std::size_t xbase = static_cast<std::size_t>((ni * ic + i) * id);
-      for (std::int64_t j = 0; j < oc; ++j) {
-        const std::size_t wbase = static_cast<std::size_t>(((i * oc + j) * id) * od);
-        const std::size_t vbase = static_cast<std::size_t>(((ni * ic + i) * oc + j) * od);
-        for (std::int64_t p = 0; p < id; ++p) {
-          // No zero-skip: 0 * NaN / 0 * Inf must propagate (same IEEE
-          // contract as the GEMM core and the routing rewrite).
-          const float xv = xd[xbase + static_cast<std::size_t>(p)];
-          const std::size_t wrow = wbase + static_cast<std::size_t>(p * od);
-          for (std::int64_t q = 0; q < od; ++q) {
-            vd[vbase + static_cast<std::size_t>(q)] +=
-                xv * wd[wrow + static_cast<std::size_t>(q)];
+  // One sample's votes are ic * oc * id * od multiply-adds of a few tenths
+  // of a nanosecond each (the inner loop vectorizes over od).
+  const double sample_ns = 0.25 * static_cast<double>(ic * oc * id * od);
+  pool::parallel_for(n, sample_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t ni = first; ni < last; ++ni) {
+      for (std::int64_t i = 0; i < ic; ++i) {
+        const std::size_t xbase = static_cast<std::size_t>((ni * ic + i) * id);
+        for (std::int64_t j = 0; j < oc; ++j) {
+          const std::size_t wbase = static_cast<std::size_t>(((i * oc + j) * id) * od);
+          const std::size_t vbase = static_cast<std::size_t>(((ni * ic + i) * oc + j) * od);
+          for (std::int64_t p = 0; p < id; ++p) {
+            // No zero-skip: 0 * NaN / 0 * Inf must propagate (same IEEE
+            // contract as the GEMM core and the routing rewrite).
+            const float xv = xd[xbase + static_cast<std::size_t>(p)];
+            const std::size_t wrow = wbase + static_cast<std::size_t>(p * od);
+            for (std::int64_t q = 0; q < od; ++q) {
+              vd[vbase + static_cast<std::size_t>(q)] +=
+                  xv * wd[wrow + static_cast<std::size_t>(q)];
+            }
           }
         }
       }
     }
-  }
+  });
   return votes;
 }
 

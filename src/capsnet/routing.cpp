@@ -7,6 +7,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::capsnet {
 namespace {
@@ -14,6 +15,10 @@ namespace {
 struct VoteDims {
   std::int64_t m, i, j, d;
 };
+
+/// Serial cost of a strided copy of `floats` floats [ns, one core], the
+/// per-sample work estimate of the loops below.
+double copy_ns(std::int64_t floats) { return 0.5 * static_cast<double>(floats); }
 
 VoteDims dims_of(const Tensor& u_hat) {
   if (u_hat.shape().rank() != 4) {
@@ -27,29 +32,33 @@ VoteDims dims_of(const Tensor& u_hat) {
 /// Transposes votes [m, I, J, D] -> [m, J, I, D] so both routing
 /// contractions become contiguous (I x D) blocks per (m, j).
 void transpose_votes(const float* ud, const VoteDims& dd, float* td) {
-#pragma omp parallel for schedule(static) if (dd.m >= 2)
-  for (std::int64_t m = 0; m < dd.m; ++m) {
-    for (std::int64_t i = 0; i < dd.i; ++i) {
-      for (std::int64_t j = 0; j < dd.j; ++j) {
-        const float* src = &ud[((m * dd.i + i) * dd.j + j) * dd.d];
-        float* dst = &td[((m * dd.j + j) * dd.i + i) * dd.d];
-        for (std::int64_t k = 0; k < dd.d; ++k) dst[k] = src[k];
+  const double sample_ns = copy_ns(dd.i * dd.j * dd.d);
+  pool::parallel_for(dd.m, sample_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t m = first; m < last; ++m) {
+      for (std::int64_t i = 0; i < dd.i; ++i) {
+        for (std::int64_t j = 0; j < dd.j; ++j) {
+          const float* src = &ud[((m * dd.i + i) * dd.j + j) * dd.d];
+          float* dst = &td[((m * dd.j + j) * dd.i + i) * dd.d];
+          for (std::int64_t k = 0; k < dd.d; ++k) dst[k] = src[k];
+        }
       }
     }
-  }
+  });
 }
 
 /// Transposes coefficients [m, I, J] -> [m, J, I].
 void transpose_coeffs(const float* cd, const VoteDims& dd, float* td) {
-#pragma omp parallel for schedule(static) if (dd.m >= 2)
-  for (std::int64_t m = 0; m < dd.m; ++m) {
-    for (std::int64_t i = 0; i < dd.i; ++i) {
-      const float* src = &cd[(m * dd.i + i) * dd.j];
-      for (std::int64_t j = 0; j < dd.j; ++j) {
-        td[(m * dd.j + j) * dd.i + i] = src[j];
+  const double sample_ns = copy_ns(dd.i * dd.j);
+  pool::parallel_for(dd.m, sample_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t m = first; m < last; ++m) {
+      for (std::int64_t i = 0; i < dd.i; ++i) {
+        const float* src = &cd[(m * dd.i + i) * dd.j];
+        for (std::int64_t j = 0; j < dd.j; ++j) {
+          td[(m * dd.j + j) * dd.i + i] = src[j];
+        }
       }
     }
-  }
+  });
 }
 
 }  // namespace
@@ -102,15 +111,17 @@ RoutingResult dynamic_routing(const Tensor& u_hat, int iterations, PerturbationH
       gemm::gemm_batched_f32(dd.m * dd.j, dd.i, 1, dd.d, u_t, dd.i * dd.d,
                              v.data().data(), dd.d, 0.0F, delta_t, dd.i);
       auto bd = b.data();
-#pragma omp parallel for schedule(static) if (dd.m >= 2)
-      for (std::int64_t m = 0; m < dd.m; ++m) {
-        for (std::int64_t i = 0; i < dd.i; ++i) {
-          for (std::int64_t j = 0; j < dd.j; ++j) {
-            bd[static_cast<std::size_t>((m * dd.i + i) * dd.j + j)] +=
-                delta_t[(m * dd.j + j) * dd.i + i];
+      const double sample_ns = copy_ns(dd.i * dd.j);
+  pool::parallel_for(dd.m, sample_ns, [&](std::int64_t first, std::int64_t last) {
+        for (std::int64_t m = first; m < last; ++m) {
+          for (std::int64_t i = 0; i < dd.i; ++i) {
+            for (std::int64_t j = 0; j < dd.j; ++j) {
+              bd[static_cast<std::size_t>((m * dd.i + i) * dd.j + j)] +=
+                  delta_t[(m * dd.j + j) * dd.i + i];
+            }
           }
         }
-      }
+      });
       emit(hook, layer, OpKind::kLogitsUpdate, b);
     }
 
@@ -136,16 +147,18 @@ Tensor routing_backward(const Tensor& u_hat, const RoutingResult& fwd, const Ten
 
   Tensor grad_u(u_hat.shape());
   auto gu = grad_u.data();
-#pragma omp parallel for schedule(static) if (dd.m >= 2)
-  for (std::int64_t m = 0; m < dd.m; ++m) {
-    for (std::int64_t j = 0; j < dd.j; ++j) {
-      for (std::int64_t i = 0; i < dd.i; ++i) {
-        const float* src = &grad_u_t[((m * dd.j + j) * dd.i + i) * dd.d];
-        float* dst = &gu[static_cast<std::size_t>(((m * dd.i + i) * dd.j + j) * dd.d)];
-        for (std::int64_t k = 0; k < dd.d; ++k) dst[k] = src[k];
+  const double sample_ns = copy_ns(dd.i * dd.j * dd.d);
+  pool::parallel_for(dd.m, sample_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t m = first; m < last; ++m) {
+      for (std::int64_t j = 0; j < dd.j; ++j) {
+        for (std::int64_t i = 0; i < dd.i; ++i) {
+          const float* src = &grad_u_t[((m * dd.j + j) * dd.i + i) * dd.d];
+          float* dst = &gu[static_cast<std::size_t>(((m * dd.i + i) * dd.j + j) * dd.d)];
+          for (std::int64_t k = 0; k < dd.d; ++k) dst[k] = src[k];
+        }
       }
     }
-  }
+  });
   return grad_u;
 }
 

@@ -58,8 +58,7 @@ CrossValidationResult cross_validate_design(capsnet::CapsModel& model, const Ten
                                             const std::vector<std::int64_t>& test_y,
                                             const MethodologyResult& design,
                                             const CrossValidateConfig& cfg) {
-  SweepEngine engine(model, test_x, test_y,
-                     {.seed = cfg.seed, .eval_batch = cfg.eval_batch, .threads = cfg.threads});
+  SweepEngine engine(model, test_x, test_y, {.seed = cfg.seed, .eval_batch = cfg.eval_batch});
   const attack::AttackSpec clean = attack::AttackSpec::none();
 
   const approx::Adder* adder = resolve_adder(cfg.adder);

@@ -85,7 +85,6 @@ struct CrossValidationResult {
 struct CrossValidateConfig {
   std::uint64_t seed = 2020;     ///< Noise-model stream base seed.
   std::int64_t eval_batch = 64;  ///< Evaluation batch size (both sides).
-  int threads = 0;               ///< Sweep-engine worker override (0 = env/hw).
   int bits = 8;                  ///< Emulated operand wordlength.
   /// Behavioral accumulator adder by library name ("" = exact
   /// accumulation — the paper's setting, where adders stay exact).

@@ -70,8 +70,8 @@ struct ResilienceConfig {
   NmSweep sweep = NmSweep::paper();
   std::uint64_t seed = 2020;
   std::int64_t eval_batch = 64;
-  /// Sweep worker threads; 0 = REDCANE_SWEEP_THREADS env var, else
-  /// hardware concurrency (see core/sweep_engine.hpp).
+  /// Grid points evaluated at once on the compute pool; 0 = one per pool
+  /// thread (see core/sweep_engine.hpp). A cap, not the pool's size.
   int threads = 0;
   /// Prefix-activation caching for noisy points (bit-identical either way).
   bool prefix_cache = true;

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <thread>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "capsnet/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/workspace.hpp"
-#include "util/parse.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::core {
 namespace {
@@ -39,15 +33,10 @@ class StageRecorder final : public capsnet::PerturbationHook {
   int stage_;
 };
 
-}  // namespace
+/// Grid points in flight: the configured cap, else one per pool thread.
+int point_slots(int cap) { return cap > 0 ? cap : pool::threads(); }
 
-int SweepEngine::resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const char* env = std::getenv("REDCANE_SWEEP_THREADS");
-  if (int n = 0; env != nullptr && util::parse_int(env, &n, 1)) return n;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
+}  // namespace
 
 const obs::CounterTable<SweepEngineStats, SweepEngine::kCounts> SweepEngine::kCountTable{{
     {"sweep_evaluations_total", &SweepEngineStats::evaluations},
@@ -118,7 +107,7 @@ void SweepEngine::record_set(EvalSet& set) {
 void SweepEngine::ensure_prepared() {
   if (prepared_) return;
   prepared_ = true;
-  threads_ = resolve_threads(cfg_.threads);
+  threads_ = point_slots(cfg_.threads);
 
   const std::int64_t n = test_x_.shape().dim(0);
   for (std::int64_t at = 0; at < n; at += cfg_.eval_batch) {
@@ -275,48 +264,40 @@ double SweepEngine::evaluate(const attack::AttackSpec& spec, const backend::Exec
 std::vector<double> SweepEngine::evaluate(const attack::AttackSpec& spec,
                                           const std::vector<SweepPointSpec>& points) {
   // Attack generation (or input-cache lookup) happens here, before any
-  // worker exists: workers only ever replay const checkpoints.
+  // point runs: points only ever replay const checkpoints.
   const EvalSet& set = ensure_attacked(spec);
   OBS_SPAN("sweep/evaluate");
-  threads_ = resolve_threads(cfg_.threads);
+  threads_ = point_slots(cfg_.threads);
   counts_[kEvaluations].add(static_cast<std::int64_t>(points.size()));
-  const int workers = std::max(1, std::min(threads_, static_cast<int>(points.size())));
+  const int slots = std::max(1, std::min(threads_, static_cast<int>(points.size())));
 
-  // Each point owns its slot and its injector; per-worker stats merge after
-  // the join. Result assembly is by index, so curves are independent of
+  // Each point owns its result and its injector; per-slot stats merge after
+  // the region. Result assembly is by index, so curves are independent of
   // scheduling order.
   std::vector<double> acc(points.size(), 0.0);
   std::atomic<std::size_t> next{0};
-  std::vector<SweepEngineStats> worker_stats(static_cast<std::size_t>(workers));
+  std::vector<SweepEngineStats> slot_stats(static_cast<std::size_t>(slots));
   const auto drain = [&](SweepEngineStats& mine) {
     for (std::size_t i = next.fetch_add(1); i < points.size(); i = next.fetch_add(1)) {
       acc[i] = eval_point(backend::NoiseBackend(points[i].rules, cfg_.seed), points[i].salt,
                           set, mine);
     }
   };
-  if (workers == 1) {
-    drain(worker_stats[0]);
+  if (slots == 1) {
+    drain(slot_stats[0]);  // The point's kernels keep the pool.
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (SweepEngineStats& mine : worker_stats) {
-      pool.emplace_back([&drain, stats = &mine] {
-#ifdef _OPENMP
-        // Each std::thread is an OpenMP initial thread: without a cap, every
-        // omp-parallel kernel inside a worker would spin up a full-size team
-        // (workers x cores threads total). Point-level parallelism already
-        // covers the machine, so keep per-worker kernels serial.
-        omp_set_num_threads(1);
-#endif
-        // Warm this worker's thread-keyed scratch arena once; every forward
-        // of every grid point then runs on recycled buffers.
-        ws::Workspace::tls().reserve(std::size_t{1} << 20);
-        drain(*stats);
-      });
-    }
-    for (std::thread& t : pool) t.join();
+    // One pool chunk per slot, each draining the shared point queue; a
+    // point lasts milliseconds, so every slot gets its own chunk. Kernels
+    // inside a chunk run inline: point-level parallelism covers the
+    // machine. A slot the pool cannot staff finds the queue empty.
+    pool::parallel_for(slots, 1e9, [&](std::int64_t first, std::int64_t last) {
+      // Warm this thread's scratch arena once; every forward of every grid
+      // point then runs on recycled buffers.
+      ws::Workspace::tls().reserve(std::size_t{1} << 20);
+      for (std::int64_t s = first; s < last; ++s) drain(slot_stats[static_cast<std::size_t>(s)]);
+    });
   }
-  for (const SweepEngineStats& mine : worker_stats) count_stages(mine);
+  for (const SweepEngineStats& mine : slot_stats) count_stages(mine);
   return acc;
 }
 

@@ -6,7 +6,7 @@
 //
 //  1. Points are independent: each gets its own seed-salted
 //     GaussianInjector, so the curves do not depend on execution order.
-//     The engine runs points concurrently on a worker pool and still
+//     The engine runs points concurrently on the compute pool and still
 //     produces bit-identical curves.
 //  2. Noise injected at a site cannot change activations computed before
 //     it. The engine records the clean stage-boundary activations of every
@@ -24,10 +24,11 @@
 // the whole noise axis of a robustness grid row — then replays suffixes
 // from it exactly as clean points do. Gradient attacks run train-mode
 // forwards on the shared model, so sets are built serially on the
-// coordinating thread before any worker spawns.
+// coordinating thread before any point runs.
 //
-// Worker count: SweepEngineConfig::threads, else the REDCANE_SWEEP_THREADS
-// environment variable, else std::thread::hardware_concurrency().
+// Points run as tasks of the compute pool (util/pool): at most
+// SweepEngineConfig::threads of them at once, else one per pool thread
+// (REDCANE_THREADS, else the hardware concurrency).
 //
 // Contracts:
 //  * The model and test set must not change for the lifetime of the
@@ -71,8 +72,8 @@ inline constexpr std::uint64_t kSaltMix = backend::kSaltMix;
 struct SweepEngineConfig {
   std::uint64_t seed = 2020;
   std::int64_t eval_batch = 64;
-  /// Worker threads; 0 = REDCANE_SWEEP_THREADS env var, else hardware
-  /// concurrency.
+  /// Grid points evaluated at once, on the compute pool; 0 = one per pool
+  /// thread. A cap on points in flight, not the pool's size.
   int threads = 0;
   /// Replay noisy points from cached clean prefixes instead of running the
   /// full network. Off = every point is a full forward (the pre-engine
@@ -99,7 +100,7 @@ struct SweepEngineStats {
   std::int64_t input_cache_hits = 0;  ///< Evaluations served by an already-built set.
   std::int64_t input_evictions = 0;   ///< Perturbed sets evicted by the LRU byte budget.
   std::int64_t input_cache_bytes = 0; ///< Current bytes held by cached perturbed sets.
-  int threads = 1;                  ///< Resolved worker count.
+  int threads = 1;                  ///< Cap on points in flight, resolved.
 
   /// Fraction of stage executions skipped, in [0, 1].
   [[nodiscard]] double skip_fraction() const {
@@ -171,9 +172,6 @@ class SweepEngine {
   [[nodiscard]] const SweepEngineConfig& config() const { return cfg_; }
   [[nodiscard]] capsnet::CapsModel& model() { return model_; }
   [[nodiscard]] const Tensor& test_x() const { return test_x_; }
-
-  /// Resolves cfg.threads / REDCANE_SWEEP_THREADS / hardware_concurrency.
-  [[nodiscard]] static int resolve_threads(int requested);
 
  private:
   /// One evaluation input set: its batches, their clean stage-boundary

@@ -55,9 +55,9 @@ struct StandardJob {
   std::vector<core::SweepShard> shards;
 };
 
-/// Engine configuration matching the job's grid values. `threads` is the
-/// worker-pool size of THAT engine (1 for dist workers — worker processes
-/// are the parallelism); it cannot change any value.
+/// Engine configuration matching the job's grid values. `threads` caps the
+/// grid points THAT engine evaluates at once (1 for dist workers — worker
+/// processes are the parallelism); it cannot change any value.
 [[nodiscard]] core::SweepEngineConfig job_engine_config(const StandardJob& job,
                                                         int threads);
 

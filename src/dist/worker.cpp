@@ -5,13 +5,10 @@
 #include <mutex>
 #include <thread>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "dist/wire.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::dist {
 namespace {
@@ -44,11 +41,10 @@ bool send_result(const Socket& sock, std::mutex& send_mu,
 WorkerStats run_worker(core::SweepEngine& engine, const WorkerConfig& cfg) {
   WorkerStats stats;
 
-#ifdef _OPENMP
-  // Workers ARE the parallelism; don't also fan each shard out over every
-  // core (matches the serve worker-pool discipline).
-  omp_set_num_threads(1);
-#endif
+  // Workers ARE the parallelism: this thread's kernels run inline instead
+  // of fanning each shard out over the compute pool (the multi-worker
+  // serve discipline).
+  const pool::InlineScope serial;
 
   // Connect with retry: in the CI smoke the workers race the coordinator's
   // bind, and losing that race must not fail the run.

@@ -10,9 +10,9 @@
 // Threads: one serving loop (recv/execute/send) plus one heartbeat
 // thread sharing the socket under a send mutex, so a multi-second shard
 // evaluation cannot starve the coordinator's liveness deadline. The
-// serving thread pins OpenMP to one thread — dist workers are the
-// parallelism; letting each also fan out over all cores oversubscribes
-// the machine.
+// serving thread runs its kernels inline (util/pool's InlineScope) — dist
+// workers are the parallelism; letting each also fan out over the compute
+// pool would oversubscribe the machine.
 //
 // Fault sites (util/fault, armed only in tests/chaos): kill-after-N-
 // shards (exit without sending the pending result — the hard-crash

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/pool.hpp"
+
 namespace redcane::nn {
 namespace {
 
@@ -49,9 +51,14 @@ ConvDims make_conv_dims(const Shape& x, const Shape& w, std::int64_t stride, std
 
 void im2col(const float* x, const ConvDims& d, float* cols) {
   const std::int64_t row_len = d.cols();
-#pragma omp parallel for collapse(2) if (d.n * d.ho > 8)
-  for (std::int64_t ni = 0; ni < d.n; ++ni) {
-    for (std::int64_t oy = 0; oy < d.ho; ++oy) {
+  // Work items are the n * ho rows of output positions. Each copies wo * kh
+  // runs of kw * cin floats: about 10 ns a run plus 0.1 ns a float.
+  const double item_ns =
+      static_cast<double>(d.wo * d.kh) * (10.0 + 0.1 * static_cast<double>(d.kw * d.cin));
+  pool::parallel_for(d.n * d.ho, item_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t item = first; item < last; ++item) {
+      const std::int64_t ni = item / d.ho;
+      const std::int64_t oy = item % d.ho;
       for (std::int64_t ox = 0; ox < d.wo; ++ox) {
         float* row = cols + ((ni * d.ho + oy) * d.wo + ox) * row_len;
         for (std::int64_t ky = 0; ky < d.kh; ++ky) {
@@ -80,7 +87,7 @@ void im2col(const float* x, const ConvDims& d, float* cols) {
         }
       }
     }
-  }
+  });
 }
 
 Tensor im2col(const Tensor& x, const ConvDims& d) {

@@ -7,13 +7,10 @@
 #include "quant/lut_cache.hpp"
 #include "tensor/lut_kernel.hpp"
 #include "tensor/workspace.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::quant {
 namespace {
-
-/// Below this many MACs a call runs on the calling thread: the fan-out
-/// would cost more than it saves.
-constexpr double kParallelMacs = 1 << 20;
 
 /// gemm::U32Accum adapter over a behavioral adder.
 class AdderAccum final : public gemm::U32Accum {
@@ -54,8 +51,6 @@ void lut_gemm_dequant(const gemm::lk::LutProblem& p, const QuantParams& pa,
   const std::int64_t rb = gemm::lk::block_rows(p.lanes, n, p.k);
   const std::int64_t blocks = (p.m + rb - 1) / rb;
   const std::int64_t tasks = p.groups * blocks;
-  const double macs = static_cast<double>(p.groups) * static_cast<double>(p.m) *
-                      static_cast<double>(n) * static_cast<double>(p.k);
   // The exact path keeps 64-bit product sums (unbounded k); the adder path
   // runs the 32-bit accumulator datapath the chain models. Both feed the
   // identical dequantization, so an exact adder object reproduces the
@@ -66,41 +61,45 @@ void lut_gemm_dequant(const gemm::lk::LutProblem& p, const QuantParams& pa,
   const double sa = pa.step();
   const double sb = pb.step();
 
-#pragma omp parallel for schedule(static) if (tasks > 1 && macs >= kParallelMacs)
-  for (std::int64_t task = 0; task < tasks; ++task) {
-    const std::int64_t g = task / blocks;
-    const std::int64_t i0 = (task % blocks) * rb;
-    const std::int64_t rows = std::min(p.m, i0 + rb) - i0;
-    ws::Workspace& wksp = ws::Workspace::tls();
-    const ws::Workspace::Scope scope(wksp);
-    const auto cells = static_cast<std::size_t>(rows * n);
-    gemm::lk::LutBlockOut acc;
-    if (accum == nullptr) {
-      acc.qq64 = wksp.alloc<std::uint64_t>(cells);
-    } else {
-      acc.qq32 = wksp.alloc<std::uint32_t>(cells);
-    }
-    acc.qw = wksp.alloc<std::uint64_t>(cells);
-    acc.qa = wksp.alloc<std::uint64_t>(static_cast<std::size_t>(rows));
-    acc.taps = wksp.alloc<std::int64_t>(static_cast<std::size_t>(rows));
-    gemm::lk::lut_block(p, g, i0, i0 + rows, tables, accum, acc);
+  // A task is one row block: its LUT MACs plus the double dequantization.
+  const double task_ns =
+      static_cast<double>(rb * n) * (static_cast<double>(p.k) * gemm::lk::kNsPerLutMac + 2.0);
+  pool::parallel_for(tasks, task_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t task = first; task < last; ++task) {
+      const std::int64_t g = task / blocks;
+      const std::int64_t i0 = (task % blocks) * rb;
+      const std::int64_t rows = std::min(p.m, i0 + rb) - i0;
+      ws::Workspace& wksp = ws::Workspace::tls();
+      const ws::Workspace::Scope scope(wksp);
+      const auto cells = static_cast<std::size_t>(rows * n);
+      gemm::lk::LutBlockOut acc;
+      if (accum == nullptr) {
+        acc.qq64 = wksp.alloc<std::uint64_t>(cells);
+      } else {
+        acc.qq32 = wksp.alloc<std::uint32_t>(cells);
+      }
+      acc.qw = wksp.alloc<std::uint64_t>(cells);
+      acc.qa = wksp.alloc<std::uint64_t>(static_cast<std::size_t>(rows));
+      acc.taps = wksp.alloc<std::int64_t>(static_cast<std::size_t>(rows));
+      gemm::lk::lut_block(p, g, i0, i0 + rows, tables, accum, acc);
 
-    for (std::int64_t r = 0; r < rows; ++r) {
-      const double row_base = pa.min * pb.min * static_cast<double>(acc.taps[r]) +
-                              pb.min * sa * static_cast<double>(acc.qa[r]);
-      float* orow = out.data + g * out.group + (i0 + r) * out.row;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const std::size_t idx = static_cast<std::size_t>(r * n + j);
-        double v = row_base;
-        v += pa.min * sb * static_cast<double>(acc.qw[idx]);
-        v += sa * sb *
-             (accum == nullptr ? static_cast<double>(acc.qq64[idx])
-                               : static_cast<double>(acc.qq32[idx]));
-        if (bias != nullptr) v += bias[j];
-        orow[j] = static_cast<float>(v);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const double row_base = pa.min * pb.min * static_cast<double>(acc.taps[r]) +
+                                pb.min * sa * static_cast<double>(acc.qa[r]);
+        float* orow = out.data + g * out.group + (i0 + r) * out.row;
+        for (std::int64_t j = 0; j < n; ++j) {
+          const std::size_t idx = static_cast<std::size_t>(r * n + j);
+          double v = row_base;
+          v += pa.min * sb * static_cast<double>(acc.qw[idx]);
+          v += sa * sb *
+               (accum == nullptr ? static_cast<double>(acc.qq64[idx])
+                                 : static_cast<double>(acc.qq32[idx]));
+          if (bias != nullptr) v += bias[j];
+          orow[j] = static_cast<float>(v);
+        }
       }
     }
-  }
+  });
 }
 
 Tensor approx_matmul(const Tensor& a, const Tensor& b, const Tensor& bias,

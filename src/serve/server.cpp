@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "util/fault.hpp"
-#include "util/parse.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::serve {
 
@@ -30,20 +25,12 @@ const obs::CounterTable<ServerStats, InferenceServer::kCounts> InferenceServer::
     {"serve_degraded_total", &ServerStats::degraded},
 }};
 
-int InferenceServer::resolve_workers(int requested) {
-  if (requested > 0) return requested;
-  const char* env = std::getenv("REDCANE_SERVE_THREADS");
-  if (int n = 0; env != nullptr && util::parse_int(env, &n, 1)) return n;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 InferenceServer::InferenceServer(ModelRegistry& registry, ServerConfig cfg)
     : registry_(registry),
       cfg_(cfg),
       batcher_(BatcherConfig{cfg.max_batch, cfg.max_delay_us, cfg.max_queue,
                              /*high_watermark=*/0, /*low_watermark=*/0}),
-      workers_(resolve_workers(cfg.workers)),
+      workers_(cfg.workers > 0 ? cfg.workers : pool::threads()),
       counts_(obs::counters(kCountTable)),
       latency_hist_(obs::Registry::instance().histogram("serve_latency_us")) {
   // The ServerStats law over the process-wide totals (a linear law holds
@@ -146,16 +133,14 @@ void InferenceServer::start() {
   started_ = true;
   const int workers = workers_;
   obs::Registry::instance().gauge("serve_workers").set(workers);
-  pool_.reserve(static_cast<std::size_t>(workers));
+  worker_threads_.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    pool_.emplace_back([this, workers] {
-#ifdef _OPENMP
-      // Same discipline as core/sweep_engine: with several workers, batch-
-      // level parallelism already covers the machine — a full OpenMP team
-      // per worker would oversubscribe it. A single worker keeps the full
-      // team so batched GEMMs still use every core.
-      if (workers > 1) omp_set_num_threads(1);
-#endif
+    worker_threads_.emplace_back([this, workers] {
+      // With several workers, batch-level parallelism already covers the
+      // machine: their kernels run inline rather than contend for the
+      // compute pool. A single worker keeps the pool, so batched GEMMs
+      // still use every core.
+      const pool::InlineScope serial(workers > 1);
       // One scratch arena per worker (ws::Workspace is thread-keyed):
       // pre-grow it here so the first served batch pays no allocator
       // cold-start; after that, forwards run zero-allocation scratch.
@@ -173,8 +158,8 @@ void InferenceServer::shutdown() {
     // Never started: drain inline so queued futures still resolve.
     worker_loop();
   }
-  for (std::thread& t : pool_) t.join();
-  pool_.clear();
+  for (std::thread& t : worker_threads_) t.join();
+  worker_threads_.clear();
 }
 
 void InferenceServer::worker_loop() {

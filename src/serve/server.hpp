@@ -2,13 +2,14 @@
 // designed approximate CapsNets.
 //
 // Requests (one sample + a variant name) are submitted from any thread and
-// resolved through std::future<ServeResult>. A worker pool — the threading
-// discipline of core/sweep_engine: plain std::threads, OpenMP capped to one
-// thread per worker when several workers run so kernels do not oversubscribe
-// the machine — drains the MicroBatcher, runs one shared-weight eval
-// forward per micro-batch (CapsModel::infer is thread-safe for concurrent
-// eval), and fulfills each request with its predicted label, class scores
-// and measured latency.
+// resolved through std::future<ServeResult>. Dedicated batch-loop threads
+// (they block on the queue, so they are not compute-pool tasks) drain the
+// MicroBatcher, run one shared-weight eval forward per micro-batch
+// (CapsModel::infer is thread-safe for concurrent eval), and fulfill each
+// request with its predicted label, class scores and measured latency.
+// When several loops run, each runs its kernels inline (util/pool's
+// InlineScope) so they do not oversubscribe the machine; a single loop
+// keeps the compute pool.
 //
 // Fault tolerance: no caller input can kill the process and no promise is
 // ever left unresolved. Invalid submits (unknown variant, bad shape,
@@ -53,8 +54,9 @@
 namespace redcane::serve {
 
 struct ServerConfig {
-  /// Worker threads; 0 = REDCANE_SERVE_THREADS env var, else hardware
-  /// concurrency.
+  /// Batch loops in flight, each on its own thread; 0 = pool::threads()
+  /// (REDCANE_THREADS, else hardware concurrency). A cap on concurrent
+  /// batches, not the compute pool's size.
   int workers = 0;
   std::int64_t max_batch = 16;       ///< Micro-batch coalescing ceiling [requests].
   std::int64_t max_delay_us = 2000;  ///< Head-of-line batching wait [us].
@@ -126,7 +128,7 @@ class InferenceServer {
   /// typed ServeError.
   std::future<ServeResult> submit(const Tensor& sample, const std::string& variant);
 
-  /// Spawns the worker pool. Idempotent.
+  /// Spawns the worker threads. Idempotent.
   void start();
 
   /// Closes intake, drains the queue, joins the workers. Idempotent.
@@ -146,9 +148,6 @@ class InferenceServer {
   /// Queue-pressure flag of the underlying batcher (or fault-forced).
   [[nodiscard]] bool pressured() const;
 
-  /// Resolves cfg.workers / REDCANE_SERVE_THREADS / hardware_concurrency.
-  [[nodiscard]] static int resolve_workers(int requested);
-
  private:
   void worker_loop();
   void process_batch(std::vector<QueuedRequest>& batch);
@@ -159,7 +158,7 @@ class InferenceServer {
   ModelRegistry& registry_;
   ServerConfig cfg_;
   MicroBatcher batcher_;
-  std::vector<std::thread> pool_;
+  std::vector<std::thread> worker_threads_;
   bool started_ = false;
   bool stopped_ = false;
 

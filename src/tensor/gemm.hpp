@@ -2,7 +2,7 @@
 // (via nn/im2col) every convolution in the codebase.
 //
 // Two kernels live here:
-//  * gemm_f32 — cache-blocked, OpenMP-parallel float GEMM with optional
+//  * gemm_f32 — cache-blocked, pool-parallel float GEMM with optional
 //    operand transposes and accumulation (beta). The inner loops are the
 //    runtime-dispatched SIMD microkernels of tensor/microkernel.hpp
 //    (AVX2+FMA 6x16 register tile, with SSE-FMA and scalar-fmaf

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "tensor/workspace.hpp"
+#include "util/pool.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define REDCANE_LK_X86 1
@@ -857,17 +858,19 @@ void run_channels(std::int64_t m, std::int64_t n, std::int64_t k, const std::uin
   p.b = b;
   const std::int64_t rb = block_rows(Lanes::kChannels, n, k);
   const std::int64_t blocks = (m + rb - 1) / rb;
-#pragma omp parallel for schedule(static) if (m >= 64)
-  for (std::int64_t blk = 0; blk < blocks; ++blk) {
-    const std::int64_t i0 = blk * rb;
-    LutBlockOut o;
-    o.qq64 = acc_qq64 == nullptr ? nullptr : acc_qq64 + i0 * n;
-    o.qq32 = acc_qq32 == nullptr ? nullptr : acc_qq32 + i0 * n;
-    o.qw = acc_qw + i0 * n;
-    o.qa = acc_qa + i0;
-    o.taps = taps + i0;
-    lut_block(p, 0, i0, std::min(m, i0 + rb), tables, accum, o);
-  }
+  pool::parallel_for(blocks, static_cast<double>(rb * n * k) * kNsPerLutMac,
+                     [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t blk = first; blk < last; ++blk) {
+      const std::int64_t i0 = blk * rb;
+      LutBlockOut o;
+      o.qq64 = acc_qq64 == nullptr ? nullptr : acc_qq64 + i0 * n;
+      o.qq32 = acc_qq32 == nullptr ? nullptr : acc_qq32 + i0 * n;
+      o.qw = acc_qw + i0 * n;
+      o.qa = acc_qa + i0;
+      o.taps = taps + i0;
+      lut_block(p, 0, i0, std::min(m, i0 + rb), tables, accum, o);
+    }
+  });
 }
 
 }  // namespace

@@ -204,6 +204,10 @@ void lut_block(const LutProblem& p, std::int64_t g, std::int64_t i0, std::int64_
 /// the hoisted column sums (channels).
 [[nodiscard]] std::int64_t block_rows(Lanes lanes, std::int64_t n, std::int64_t k);
 
+/// Serial cost of one dispatched LUT multiply-accumulate, the work estimate
+/// the LUT-GEMM drivers give pool::parallel_for [ns, one core].
+inline constexpr double kNsPerLutMac = 0.2;
+
 /// Dispatched drop-in for gemm::gemm_u8_lut (exact accumulation): same
 /// accumulator outputs, bitwise, for any tier, over row-major A in the
 /// channels orientation. The scalar tier delegates to the retained seed

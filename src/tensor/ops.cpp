@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "tensor/gemm.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::ops {
 namespace {
@@ -110,22 +111,25 @@ Tensor softmax(const Tensor& a, std::int64_t axis) {
   auto cd = c.data();
   const std::int64_t blocks = block == 0 ? 0 : numel / block;
   // Lanes are independent; each is normalized by one thread, so the result
-  // does not depend on the thread count.
+  // does not depend on the thread count. An element costs about one exp.
+  const double block_ns = static_cast<double>(block) * 4.0;
   if (stride == 1) {
-#pragma omp parallel for schedule(static) if (blocks >= 2 && numel >= 4096)
-    for (std::int64_t blk = 0; blk < blocks; ++blk) {
-      softmax_lane<1>(&cd[static_cast<std::size_t>(blk * extent)], extent, 1);
-    }
+    pool::parallel_for(blocks, block_ns, [&](std::int64_t first, std::int64_t last) {
+      for (std::int64_t blk = first; blk < last; ++blk) {
+        softmax_lane<1>(&cd[static_cast<std::size_t>(blk * extent)], extent, 1);
+      }
+    });
     return c;
   }
-#pragma omp parallel for schedule(static) if (blocks >= 2 && numel >= 4096)
-  for (std::int64_t blk = 0; blk < blocks; ++blk) {
-    const std::int64_t base = blk * block;
-    for (std::int64_t off = 0; off < stride; ++off) {
-      // One softmax lane: elements base+off, base+off+stride, ...
-      softmax_lane<0>(&cd[static_cast<std::size_t>(base + off)], extent, stride);
+  pool::parallel_for(blocks, block_ns, [&](std::int64_t first, std::int64_t last) {
+    for (std::int64_t blk = first; blk < last; ++blk) {
+      const std::int64_t base = blk * block;
+      for (std::int64_t off = 0; off < stride; ++off) {
+        // One softmax lane: elements base+off, base+off+stride, ...
+        softmax_lane<0>(&cd[static_cast<std::size_t>(base + off)], extent, stride);
+      }
     }
-  }
+  });
   return c;
 }
 

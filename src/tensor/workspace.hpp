@@ -10,16 +10,16 @@
 // never touch the allocator again.
 //
 // Keying: one arena per thread via Workspace::tls(). Every execution
-// context in the codebase — OpenMP team members inside the GEMM core,
-// core::SweepEngine point workers, serve::InferenceServer batch workers —
-// is a thread, so thread-locality is exactly "one workspace per worker"
-// and no locking is ever needed.
+// context in the codebase — compute-pool workers running kernel chunks or
+// sweep points (util/pool), the thread that starts a region,
+// serve::InferenceServer batch loops — is a thread, so thread-locality is
+// exactly "one workspace per worker" and no locking is ever needed.
 //
 // Discipline: allocations are scoped. A Workspace::Scope records the
 // cursor at construction and rewinds it at destruction, so usage nests
 // like a call stack (conv -> routing -> gemm packing all stack cleanly,
-// including the OpenMP case where a parallel region's team threads open
-// scopes on their own arenas). Pointers from an inner scope must not
+// including a pool region, whose chunks open scopes on the arena of
+// whichever thread runs them). Pointers from an inner scope must not
 // outlive it; blocks are stable, so pointers never move within a scope
 // even when later allocations grow the arena.
 //

@@ -3,7 +3,7 @@
 //    against central finite differences on a tiny model;
 //  * PGD iterates stay inside the L-inf epsilon ball and the clip range;
 //  * attack generation is deterministic: bitwise-identical perturbed
-//    batches across repeated runs and across OpenMP thread counts;
+//    batches across repeated runs and across compute-pool sizes;
 //  * the affine warp is a bitwise no-op at identity, inverse-composes
 //    within bilinear-resampling tolerance, and reads nothing when every
 //    sample lands far outside the image;
@@ -15,14 +15,11 @@
 #include <cmath>
 #include <cstring>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "capsnet/capsnet_model.hpp"
 #include "capsnet/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/loss.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::attack {
 namespace {
@@ -177,15 +174,13 @@ TEST(Attack, GenerationIsBitwiseDeterministicAcrossRunsAndThreadCounts) {
     const Tensor again = apply_attack(model, ds.test_x, labels, spec);
     expect_bitwise_equal(first, again, spec.key() + " repeat");
 
-#ifdef _OPENMP
-    const int saved = omp_get_max_threads();
+    const int saved = pool::threads();
     for (const int threads : {1, 2, 4}) {
-      omp_set_num_threads(threads);
+      pool::set_threads(threads);
       const Tensor t = apply_attack(model, ds.test_x, labels, spec);
-      expect_bitwise_equal(first, t, spec.key() + " omp=" + std::to_string(threads));
+      expect_bitwise_equal(first, t, spec.key() + " threads=" + std::to_string(threads));
     }
-    omp_set_num_threads(saved);
-#endif
+    pool::set_threads(saved);
   }
 }
 

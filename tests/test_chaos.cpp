@@ -308,6 +308,9 @@ TEST(Chaos, CorruptCheckpointReloadRollsBackUnderTraffic) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  // Traffic starts only once a reload has finished: the 48 requests can all
+  // be served before a freshly started reloader thread is first scheduled.
+  while (registry->reloads_failed() + registry->reloads_ok() == 0) std::this_thread::yield();
 
   const std::int64_t n = ds.test_x.shape().dim(0);
   std::vector<std::future<ServeResult>> futs;

@@ -11,6 +11,7 @@
 // same crossed with worker chaos.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/job.hpp"
 #include "dist/worker.hpp"
+#include "obs/metrics.hpp"
 #include "util/fault.hpp"
 
 namespace redcane::dist {
@@ -39,10 +41,13 @@ struct ChaosRun {
 /// Runs the quick standard job through a coordinator + `n_workers` worker
 /// loops over a unix socket, under whatever fault plan the caller armed.
 /// Worker loops are threads here (processes in production — the protocol
-/// and the fault sites cannot tell the difference).
+/// and the fault sites cannot tell the difference). With `w0_first`, the
+/// other workers connect only once the coordinator has accepted a result,
+/// which then can only be w0's: w0 is alone for its first shard and is
+/// assigned a second whatever the scheduling.
 ChaosRun run_chaos(const char* sock_name, int n_workers,
                    CoordinatorConfig cfg,
-                   std::int64_t heartbeat_interval_ms = 50) {
+                   std::int64_t heartbeat_interval_ms = 50, bool w0_first = false) {
   StandardJob job = make_standard_job("quick");
   cfg.addr = "unix:" + temp_path(sock_name);
   cfg.job_hash = job.job_hash;
@@ -58,12 +63,17 @@ ChaosRun run_chaos(const char* sock_name, int n_workers,
 
   ChaosRun run;
   run.workers.resize(static_cast<std::size_t>(n_workers));
+  const obs::Counter& results_ok = obs::Registry::instance().counter("dist_result_ok_total");
+  const std::int64_t results_before = results_ok.value();
   std::vector<std::thread> threads;
   for (int i = 0; i < n_workers; ++i) {
-    threads.emplace_back([&run, &coordinator, i, heartbeat_interval_ms] {
+    threads.emplace_back([&, i] {
       StandardJob wjob = make_standard_job("quick");
       core::SweepEngine engine(*wjob.model, wjob.dataset.test_x, wjob.dataset.test_y,
                                job_engine_config(wjob, /*threads=*/1));
+      while (w0_first && i > 0 && results_ok.value() == results_before) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       WorkerConfig wc;
       wc.addr = coordinator.bound_addr();
       wc.name = "w" + std::to_string(i);
@@ -105,7 +115,7 @@ TEST(DistChaos, KillOneWorkerMidRun) {
 
   CoordinatorConfig cfg;
   cfg.heartbeat_deadline_ms = 300;
-  const ChaosRun run = run_chaos("chaos_kill_one.sock", 3, cfg);
+  const ChaosRun run = run_chaos("chaos_kill_one.sock", 3, cfg, 50, /*w0_first=*/true);
   expect_contract(run);
   EXPECT_TRUE(run.workers[0].killed_by_fault);
   // The killed worker's in-flight shard was recovered one way or another.

@@ -419,7 +419,7 @@ TEST(LutKernel, GroupedBlocksWithSharedMaskMatchPerGroupOracle) {
 }
 
 TEST(LutKernel, TableBuildRefusesCodesPastEightBits) {
-  // Earlier tests started OpenMP threads: re-execute instead of forking.
+  // Earlier tests started compute-pool threads: re-execute instead of forking.
 #ifdef GTEST_FLAG_SET
   GTEST_FLAG_SET(death_test_style, "threadsafe");
 #else

@@ -73,7 +73,7 @@ Tensor reference_gemm_fma(bool trans_a, bool trans_b, std::int64_t m, std::int64
 
 // Shapes chosen to exercise every tail class of the 6x16 register tile and
 // the 96/256/192 cache blocking: sub-tile, exact-tile, tile+1, multi-block
-// (> 192 rows also triggers the OpenMP row split).
+// (large multi-block shapes also split row blocks across the compute pool).
 const std::array<std::array<std::int64_t, 3>, 12> kShapes = {{{1, 1, 1},
                                                               {1, 17, 5},
                                                               {3, 5, 2},

@@ -19,7 +19,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -781,27 +780,6 @@ TEST(Serve, RegistryReloadSwapsModelAndRollsBackOnFailure) {
   const Tensor kept = registry->run(kVariantExact, probe, 0).output;
   for (std::int64_t i = 0; i < kept.numel(); ++i) {
     ASSERT_EQ(kept.at(i), after.at(i)) << "failed reload changed served outputs at " << i;
-  }
-}
-
-// REDCANE_SERVE_THREADS follows util/parse's rule: anything but a whole
-// decimal integer in [1, INT_MAX] falls back to hardware concurrency.
-TEST(Serve, ServeThreadsVariableFollowsTheNumberRule) {
-  const char* saved = std::getenv("REDCANE_SERVE_THREADS");
-  const std::string restore = saved != nullptr ? saved : "";
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  const int hw = hw_threads == 0 ? 1 : static_cast<int>(hw_threads);
-  for (const char* bad : {"10000000000", "4abc", " 3", "+3", "0", "-2", "3.0"}) {
-    ASSERT_EQ(::setenv("REDCANE_SERVE_THREADS", bad, 1), 0);
-    EXPECT_EQ(InferenceServer::resolve_workers(0), hw) << "REDCANE_SERVE_THREADS=" << bad;
-  }
-  ASSERT_EQ(::setenv("REDCANE_SERVE_THREADS", "3", 1), 0);
-  EXPECT_EQ(InferenceServer::resolve_workers(0), 3);
-  EXPECT_EQ(InferenceServer::resolve_workers(5), 5);
-  if (saved != nullptr) {
-    ::setenv("REDCANE_SERVE_THREADS", restore.c_str(), 1);
-  } else {
-    ::unsetenv("REDCANE_SERVE_THREADS");
   }
 }
 

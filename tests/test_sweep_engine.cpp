@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -526,25 +525,6 @@ TEST(SweepEngine, InputCacheLruBudgetEvictsAndRebuildsIdentically) {
   EXPECT_GT(lru.stats().input_sets, 3);  // Evicted sets were rebuilt.
   // The budget bounds steady-state memory: at most one idle set survives.
   EXPECT_LT(lru.stats().input_cache_bytes, big.stats().input_cache_bytes);
-}
-
-TEST(SweepEngine, ThreadResolutionHonorsEnvOverride) {
-  ::setenv("REDCANE_SWEEP_THREADS", "3", 1);
-  EXPECT_EQ(SweepEngine::resolve_threads(0), 3);
-  EXPECT_EQ(SweepEngine::resolve_threads(5), 5);  // Explicit config wins.
-  ::unsetenv("REDCANE_SWEEP_THREADS");
-  EXPECT_GE(SweepEngine::resolve_threads(0), 1);
-
-  // The variable follows util/parse's rule: anything but a whole decimal
-  // integer in [1, INT_MAX] falls back to hardware concurrency, never to a
-  // wrapped or truncated count.
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  const int hw = hw_threads == 0 ? 1 : static_cast<int>(hw_threads);
-  for (const char* bad : {"10000000000", "4abc", " 3", "+3", "0", "-2", "3.0"}) {
-    ::setenv("REDCANE_SWEEP_THREADS", bad, 1);
-    EXPECT_EQ(SweepEngine::resolve_threads(0), hw) << "REDCANE_SWEEP_THREADS=" << bad;
-  }
-  ::unsetenv("REDCANE_SWEEP_THREADS");
 }
 
 }  // namespace
