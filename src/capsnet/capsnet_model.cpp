@@ -44,9 +44,8 @@ CapsNetModel::CapsNetModel(const CapsNetConfig& cfg, Rng& rng) : cfg_(cfg) {
   ps.stride = cfg.primary_stride;
   primary_ = std::make_unique<PrimaryCaps>("PrimaryCaps", ps, rng);
 
-  const std::int64_t after_conv1 = cfg.input_hw - cfg.conv1_kernel + 1;
-  const std::int64_t after_primary =
-      (after_conv1 - cfg.primary_kernel) / cfg.primary_stride + 1;
+  const std::int64_t after_conv1 = conv_out_extent(cfg.input_hw, c1.kernel, c1.stride, c1.pad);
+  const std::int64_t after_primary = conv_out_extent(after_conv1, ps.kernel, ps.stride, ps.pad);
   ClassCapsSpec cs;
   cs.in_caps = after_primary * after_primary * cfg.primary_types;
   cs.in_dim = cfg.primary_dim;
@@ -56,62 +55,22 @@ CapsNetModel::CapsNetModel(const CapsNetConfig& cfg, Rng& rng) : cfg_(cfg) {
   class_caps_ = std::make_unique<ClassCaps>("ClassCaps", cs, rng);
 }
 
-Tensor CapsNetModel::forward(const Tensor& x, bool train, PerturbationHook* hook) {
-  // Identical op sequence to forward_range(0, num_stages()): the two paths
-  // must stay bit-equal so checkpointed sweeps match full evaluations.
-  Tensor t = conv1_->forward(x, train);
-  emit(hook, "Conv1", OpKind::kMacOutput, t);
-  t = relu1_->forward(t, train);
-  emit(hook, "Conv1", OpKind::kActivation, t);
-  t = primary_->forward_conv(t, train, hook);
-  t = primary_->forward_squash(t, hook);
-  t = class_caps_->forward_votes(t, train, hook);
-  return class_caps_->forward_routing(t, train, hook);
-}
-
-Tensor CapsNetModel::forward_range(int first, int last, StageState& state,
-                                   PerturbationHook* hook, bool record) {
-  // Stages never mutate their input tensors, so the entry boundary (which
-  // may be a shared prefix-cache checkpoint) is read in place, not copied.
-  std::vector<Tensor> scratch;
-  const std::vector<Tensor>* cur = &state.at[static_cast<std::size_t>(first)];
-  for (int k = first; k < last; ++k) {
-    std::vector<Tensor> next;
-    switch (k) {
-      case 0: {
-        Tensor t = conv1_->forward((*cur)[0], /*train=*/false);
-        emit(hook, "Conv1", OpKind::kMacOutput, t);
-        next = {std::move(t)};
-        break;
-      }
-      case 1: {
-        Tensor t = relu1_->forward((*cur)[0], /*train=*/false);
-        emit(hook, "Conv1", OpKind::kActivation, t);
-        next = {std::move(t)};
-        break;
-      }
-      case 2:
-        next = {primary_->forward_conv((*cur)[0], /*train=*/false, hook)};
-        break;
-      case 3:
-        next = {primary_->forward_squash((*cur)[0], hook)};
-        break;
-      case 4:
-        next = {class_caps_->forward_votes((*cur)[0], /*train=*/false, hook)};
-        break;
-      default:
-        next = {class_caps_->forward_routing((*cur)[0], /*train=*/false, hook)};
-        break;
-    }
-    if (record) {
-      state.at[static_cast<std::size_t>(k) + 1] = std::move(next);
-      cur = &state.at[static_cast<std::size_t>(k) + 1];
-    } else {
-      scratch = std::move(next);
-      cur = &scratch;
-    }
+void CapsNetModel::stage(int k, std::span<const Tensor> in, Boundary& out, bool train,
+                         PerturbationHook* hook) {
+  switch (k) {
+    case 0:
+      out.push_back(conv1_->forward(in[0], train));
+      emit(hook, "Conv1", OpKind::kMacOutput, out[0]);
+      break;
+    case 1:
+      out.push_back(relu1_->forward(in[0], train));
+      emit(hook, "Conv1", OpKind::kActivation, out[0]);
+      break;
+    case 2: out.push_back(primary_->forward_conv(in[0], train, hook)); break;
+    case 3: out.push_back(primary_->forward_squash(in[0], hook)); break;
+    case 4: out.push_back(class_caps_->forward_votes(in[0], train, hook)); break;
+    default: out.push_back(class_caps_->forward_routing(in[0], train, hook)); break;
   }
-  return last == num_stages() ? (*cur)[0] : Tensor();
 }
 
 Tensor CapsNetModel::backward(const Tensor& grad_v) {
@@ -130,7 +89,7 @@ std::vector<nn::Param*> CapsNetModel::params() {
 }
 
 std::vector<std::string> CapsNetModel::layer_names() const {
-  return {"Conv1", "PrimaryCaps", "ClassCaps"};
+  return {conv1_->name(), primary_->name(), class_caps_->name()};
 }
 
 }  // namespace redcane::capsnet

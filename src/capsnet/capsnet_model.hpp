@@ -48,12 +48,9 @@ class CapsNetModel final : public CapsModel {
  public:
   CapsNetModel(const CapsNetConfig& cfg, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) override;
   /// Six stages, one per hook-site boundary: Conv1 conv | Conv1 ReLU |
   /// PrimaryCaps conv | PrimaryCaps squash | ClassCaps votes | routing.
   [[nodiscard]] int num_stages() const override { return 6; }
-  Tensor forward_range(int first, int last, StageState& state, PerturbationHook* hook,
-                       bool record) override;
   Tensor backward(const Tensor& grad_v) override;
   std::vector<nn::Param*> params() override;
   [[nodiscard]] std::vector<std::string> layer_names() const override;
@@ -65,6 +62,10 @@ class CapsNetModel final : public CapsModel {
 
   [[nodiscard]] const CapsNetConfig& config() const { return cfg_; }
   [[nodiscard]] ClassCaps& class_caps() { return *class_caps_; }
+
+ protected:
+  void stage(int k, std::span<const Tensor> in, Boundary& out, bool train,
+             PerturbationHook* hook) override;
 
  private:
   CapsNetConfig cfg_;

@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "backend/emulation.hpp"
-#include "quant/lut_cache.hpp"
+#include "quant/lut_gemm.hpp"
 #include "tensor/workspace.hpp"
 #include "util/pool.hpp"
 
@@ -63,16 +63,9 @@ Tensor ClassCaps::compute_votes_emulated(const Tensor& x,
   const std::int64_t oc = spec_.out_caps;
   const std::int64_t od = spec_.out_dim;
   const std::int64_t jd = oc * od;
-  const quant::QuantParams px = quant::fit_params(x, unit.bits);
-  const quant::QuantParams pw = quant::fit_params(w_.value, unit.bits);
-
   ws::Workspace& wksp = ws::Workspace::tls();
   const ws::Workspace::Scope scope(wksp);
-  std::uint8_t* qx = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(x.numel()));
-  std::uint8_t* qw = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(w_.value.numel()));
-  quant::quantize_u8(x, px, qx);
-  quant::quantize_u8(w_.value, pw, qw);
-  const gemm::lk::LutTables& tables = quant::lut_cache_get(unit.unit.mul, unit.bits);
+  const quant::QuantOperands q(x, w_.value, unit.unit.mul, unit.bits, wksp);
 
   // One grouped LUT-GEMM over the ic input capsules: group i computes
   // votes[:, i, j, :] = x[:, i, :] (codes [n, id], laid out for the
@@ -85,14 +78,14 @@ Tensor ClassCaps::compute_votes_emulated(const Tensor& x,
   for (std::int64_t i = 0; i < ic; ++i) {
     std::uint8_t* a_i = a_pack + i * n * id;
     for (std::int64_t ni = 0; ni < n; ++ni) {
-      const std::uint8_t* src = qx + (ni * ic + i) * id;
+      const std::uint8_t* src = q.qa + (ni * ic + i) * id;
       for (std::int64_t p = 0; p < id; ++p) a_i[tap_major ? p * n + ni : ni * id + p] = src[p];
     }
     // W is [I, J, in_dim, out_dim]: transpose the (J, in_dim) block of
     // capsule i into the row-major [in_dim, J*out_dim] GEMM operand.
     for (std::int64_t j = 0; j < oc; ++j) {
       for (std::int64_t p = 0; p < id; ++p) {
-        std::memcpy(b_pack + (i * id + p) * jd + j * od, qw + ((i * oc + j) * id + p) * od,
+        std::memcpy(b_pack + (i * id + p) * jd + j * od, q.qb + ((i * oc + j) * id + p) * od,
                     static_cast<std::size_t>(od));
       }
     }
@@ -108,7 +101,7 @@ Tensor ClassCaps::compute_votes_emulated(const Tensor& x,
   prob.b = b_pack;
   prob.b_group = id * jd;
   Tensor votes(Shape{n, ic, oc, od});
-  quant::lut_gemm_dequant(prob, px, pw, tables, unit.unit.adder, nullptr,
+  quant::lut_gemm_dequant(prob, q.pa, q.pb, *q.tables, unit.unit.adder, nullptr,
                           quant::LutOutput{votes.data().data(), ic * jd, jd});
   return votes;
 }

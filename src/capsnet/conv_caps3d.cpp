@@ -7,7 +7,7 @@
 
 #include "backend/emulation.hpp"
 #include "nn/im2col.hpp"
-#include "quant/lut_cache.hpp"
+#include "quant/lut_gemm.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/workspace.hpp"
 
@@ -104,16 +104,9 @@ Tensor ConvCaps3D::compute_votes_emulated(const Tensor& x, std::int64_t& ho,
   // R(X) is the whole input tensor's range (the paper's per-tensor
   // definition), so all ti groups quantize against one parameter pair and
   // share one product table per layer call.
-  const quant::QuantParams px = quant::fit_params(x, unit.bits);
-  const quant::QuantParams pw = quant::fit_params(w_.value, unit.bits);
-
   ws::Workspace& wksp = ws::Workspace::tls();
   const ws::Workspace::Scope scope(wksp);
-  std::uint8_t* qx = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(x.numel()));
-  std::uint8_t* qw = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(w_.value.numel()));
-  quant::quantize_u8(x, px, qx);
-  quant::quantize_u8(w_.value, pw, qw);
-  const gemm::lk::LutTables& tables = quant::lut_cache_get(unit.unit.mul, unit.bits);
+  const quant::QuantOperands q(x, w_.value, unit.unit.mul, unit.bits, wksp);
 
   // One grouped LUT-GEMM for all ti types: each type's patch codes are
   // lowered straight from its channel slice of the rank-5 codes, and the
@@ -128,16 +121,16 @@ Tensor ConvCaps3D::compute_votes_emulated(const Tensor& x, std::int64_t& ho,
   std::uint8_t* mask =
       d.pad > 0 ? wksp.alloc<std::uint8_t>(static_cast<std::size_t>(m * k)) : nullptr;
   for (std::int64_t i = 0; i < ti; ++i) {
-    nn::im2col_codes(qx + i * di, d, cols + i * m * k, i == 0 ? mask : nullptr,
+    nn::im2col_codes(q.qa + i * di, d, cols + i * m * k, i == 0 ? mask : nullptr,
                      p.lanes == gemm::lk::Lanes::kPositions, ti * di);
   }
   p.a = cols;
   p.a_group = m * k;
   p.mask = mask;
-  p.b = qw;
+  p.b = q.qb;
   p.b_group = k * jd;
   Tensor votes(Shape{m, ti, spec_.out_types, spec_.out_dim});
-  quant::lut_gemm_dequant(p, px, pw, tables, unit.unit.adder, nullptr,
+  quant::lut_gemm_dequant(p, q.pa, q.pb, *q.tables, unit.unit.adder, nullptr,
                           quant::LutOutput{votes.data().data(), ti * jd, jd});
   return votes;
 }

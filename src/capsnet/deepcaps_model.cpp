@@ -1,8 +1,5 @@
 #include "capsnet/deepcaps_model.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "tensor/ops.hpp"
 
 namespace redcane::capsnet {
@@ -105,10 +102,12 @@ DeepCapsModel::DeepCapsModel(const DeepCapsConfig& cfg, Rng& rng) : cfg_(cfg) {
   s3.routing_iters = cfg.routing_iters;
   caps3d_ = std::make_unique<ConvCaps3D>("Caps3D", s3, rng);
 
-  // Spatial extent after the stem (stride 1, pad 1 keeps H) and four
-  // stride-2 blocks: H_k = (H_{k-1} + 2*1 - 3)/2 + 1.
-  std::int64_t hw = cfg.input_hw;
-  for (int k = 0; k < 4; ++k) hw = (hw + 2 - 3) / 2 + 1;
+  // Spatial extent after the stem and the four strided block entries.
+  std::int64_t hw = conv_out_extent(cfg.input_hw, c1.kernel, c1.stride, c1.pad);
+  for (const Block& blk : blocks_) {
+    const ConvCaps2DSpec& s = blk.a->spec();
+    hw = conv_out_extent(hw, s.kernel, s.stride, s.pad);
+  }
 
   ClassCapsSpec cs;
   cs.in_caps = hw * hw * t;
@@ -119,88 +118,44 @@ DeepCapsModel::DeepCapsModel(const DeepCapsConfig& cfg, Rng& rng) : cfg_(cfg) {
   class_caps_ = std::make_unique<ClassCaps>("ClassCaps", cs, rng);
 }
 
-Tensor DeepCapsModel::forward(const Tensor& x, bool train, PerturbationHook* hook) {
-  // Identical op sequence to forward_range(0, num_stages()): the two paths
-  // must stay bit-equal so checkpointed sweeps match full evaluations.
-  Tensor t = conv1_->forward(x, train);
-  t = bn1_->forward(t, train);
-  emit(hook, "Conv2D", OpKind::kMacOutput, t);
-  t = relu1_->forward(t, train);
-  emit(hook, "Conv2D", OpKind::kActivation, t);
-  if (train) conv_out_shape_ = t.shape();
-  Tensor caps = t.reshaped(Shape{t.shape().dim(0), t.shape().dim(1), t.shape().dim(2),
-                                 cfg_.types, cfg_.dim_block1});
-
-  for (int k = 0; k < 4; ++k) {
-    Block& blk = blocks_[k];
-    const Tensor s = blk.a->forward(caps, train, hook);
-    Tensor main = blk.b->forward(s, train, hook);
-    main = blk.c->forward(main, train, hook);
-    const Tensor skip = (k < 3) ? blk.d->forward(s, train, hook)
-                                : caps3d_->forward(s, train, hook);
-    caps = ops::add(main, skip);
+void DeepCapsModel::stage(int k, std::span<const Tensor> in, Boundary& out, bool train,
+                          PerturbationHook* hook) {
+  if (k == 0) {
+    out.push_back(bn1_->forward(conv1_->forward(in[0], train), train));
+    emit(hook, "Conv2D", OpKind::kMacOutput, out[0]);
+    return;
   }
-
-  if (train) pre_flatten_shape_ = caps.shape();
-  const std::int64_t n = caps.shape().dim(0);
-  const std::int64_t in_caps =
-      caps.shape().dim(1) * caps.shape().dim(2) * caps.shape().dim(3);
-  const Tensor flat = caps.reshaped(Shape{n, in_caps, caps.shape().dim(4)});
-  return class_caps_->forward(flat, train, hook);
-}
-
-Tensor DeepCapsModel::forward_range(int first, int last, StageState& state,
-                                    PerturbationHook* hook, bool record) {
-  // Stages never mutate their input tensors, so the entry boundary (which
-  // may be a shared prefix-cache checkpoint) is read in place, not copied.
-  std::vector<Tensor> scratch;
-  const std::vector<Tensor>* cur = &state.at[static_cast<std::size_t>(first)];
-  for (int k = first; k < last; ++k) {
-    std::vector<Tensor> next;
-    if (k == 0) {
-      Tensor t = conv1_->forward((*cur)[0], /*train=*/false);
-      t = bn1_->forward(t, /*train=*/false);
-      emit(hook, "Conv2D", OpKind::kMacOutput, t);
-      next = {std::move(t)};
-    } else if (k == 1) {
-      Tensor t = relu1_->forward((*cur)[0], /*train=*/false);
-      emit(hook, "Conv2D", OpKind::kActivation, t);
-      next = {t.reshaped(Shape{t.shape().dim(0), t.shape().dim(1), t.shape().dim(2),
-                               cfg_.types, cfg_.dim_block1})};
-    } else if (k == 14) {
-      const Tensor& caps = (*cur)[0];
-      const std::int64_t n = caps.shape().dim(0);
-      const std::int64_t in_caps =
-          caps.shape().dim(1) * caps.shape().dim(2) * caps.shape().dim(3);
-      const Tensor flat = caps.reshaped(Shape{n, in_caps, caps.shape().dim(4)});
-      next = {class_caps_->forward(flat, /*train=*/false, hook)};
-    } else {
-      Block& blk = blocks_[(k - 2) / 3];
-      const int phase = (k - 2) % 3;
-      if (phase == 0) {
-        // Strided entry layer; its output feeds both branches.
-        next = {blk.a->forward((*cur)[0], /*train=*/false, hook)};
-      } else if (phase == 1) {
-        // Main pair; the entry tensor rides along for the skip branch.
-        Tensor main = blk.b->forward((*cur)[0], /*train=*/false, hook);
-        main = blk.c->forward(main, /*train=*/false, hook);
-        next = {(*cur)[0], std::move(main)};
-      } else {
-        const bool routed = (k - 2) / 3 == 3;
-        const Tensor skip = routed ? caps3d_->forward((*cur)[0], /*train=*/false, hook)
-                                   : blk.d->forward((*cur)[0], /*train=*/false, hook);
-        next = {ops::add((*cur)[1], skip)};
-      }
-    }
-    if (record) {
-      state.at[static_cast<std::size_t>(k) + 1] = std::move(next);
-      cur = &state.at[static_cast<std::size_t>(k) + 1];
-    } else {
-      scratch = std::move(next);
-      cur = &scratch;
-    }
+  if (k == 1) {
+    Tensor t = relu1_->forward(in[0], train);
+    emit(hook, "Conv2D", OpKind::kActivation, t);
+    if (train) conv_out_shape_ = t.shape();
+    const Shape caps{t.shape().dim(0), t.shape().dim(1), t.shape().dim(2), cfg_.types,
+                     cfg_.dim_block1};
+    out.push_back(std::move(t).reshaped(caps));
+    return;
   }
-  return last == num_stages() ? (*cur)[0] : Tensor();
+  if (k == 14) {
+    const Shape& s = in[0].shape();
+    if (train) pre_flatten_shape_ = s;
+    const Tensor flat = in[0].reshaped(Shape{s.dim(0), s.dim(1) * s.dim(2) * s.dim(3), s.dim(4)});
+    out.push_back(class_caps_->forward(flat, train, hook));
+    return;
+  }
+  Block& blk = blocks_[(k - 2) / 3];
+  const int phase = (k - 2) % 3;
+  if (phase == 0) {
+    out.push_back(blk.a->forward(in[0], train, hook));  // Strided; feeds both branches.
+  } else if (phase == 1) {
+    // Main pair. The entry rides along for the skip stage: the one copy a
+    // hand-off makes.
+    out.push_back(in[0]);
+    out.push_back(blk.c->forward(blk.b->forward(in[0], train, hook), train, hook));
+  } else {
+    // Skip branch (the routed ConvCaps3D in block 4), summed with main.
+    const Tensor skip =
+        blk.d ? blk.d->forward(in[0], train, hook) : caps3d_->forward(in[0], train, hook);
+    out.push_back(ops::add(in[1], skip));
+  }
 }
 
 Tensor DeepCapsModel::backward(const Tensor& grad_v) {
@@ -241,10 +196,14 @@ std::vector<nn::Param*> DeepCapsModel::params() {
 }
 
 std::vector<std::string> DeepCapsModel::layer_names() const {
-  std::vector<std::string> names{"Conv2D"};
-  for (int i = 1; i <= 15; ++i) names.push_back("Caps2D" + std::to_string(i));
-  names.push_back("Caps3D");
-  names.push_back("ClassCaps");
+  std::vector<std::string> names{conv1_->name()};
+  for (const Block& blk : blocks_) {
+    for (const ConvCaps2D* layer : {blk.a.get(), blk.b.get(), blk.c.get(), blk.d.get()}) {
+      if (layer != nullptr) names.push_back(layer->name());
+    }
+  }
+  names.push_back(caps3d_->name());
+  names.push_back(class_caps_->name());
   return names;
 }
 

@@ -49,12 +49,9 @@ class DeepCapsModel final : public CapsModel {
  public:
   DeepCapsModel(const DeepCapsConfig& cfg, Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) override;
   /// 15 stages: conv stem (conv+BN | ReLU), then 3 per residual block
   /// (strided entry | main pair | skip + sum), then ClassCaps.
   [[nodiscard]] int num_stages() const override { return 15; }
-  Tensor forward_range(int first, int last, StageState& state, PerturbationHook* hook,
-                       bool record) override;
   Tensor backward(const Tensor& grad_v) override;
   std::vector<nn::Param*> params() override;
   [[nodiscard]] std::vector<std::string> layer_names() const override;
@@ -67,6 +64,10 @@ class DeepCapsModel final : public CapsModel {
   [[nodiscard]] const DeepCapsConfig& config() const { return cfg_; }
   [[nodiscard]] ConvCaps3D& caps3d() { return *caps3d_; }
   [[nodiscard]] ClassCaps& class_caps() { return *class_caps_; }
+
+ protected:
+  void stage(int k, std::span<const Tensor> in, Boundary& out, bool train,
+             PerturbationHook* hook) override;
 
  private:
   /// Residual capsule block: main = Lc(Lb(La(x))), skip = Ld(La(x)),

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,14 +43,19 @@ struct ParamLayout {
   return in + 2 * pad < kernel ? 0 : (in + 2 * pad - kernel) / stride + 1;
 }
 
+/// A model is its stages: stage k reads the tensors entering it (boundary
+/// k) and writes boundary k + 1; the last boundary holds the class
+/// capsules. `forward` runs every stage and `forward_range` runs the same
+/// driver over a sub-range, each stage writing straight into the next
+/// boundary. A model defines `stage` and `num_stages`, never the loop.
 class CapsModel {
  public:
   virtual ~CapsModel() = default;
 
-  /// Runs inference (train=false) or a cached training forward pass.
-  /// Returns class capsules [N, num_classes, dim]; their L2 lengths are
-  /// the classification scores. `hook` may be null.
-  virtual Tensor forward(const Tensor& x, bool train, PerturbationHook* hook) = 0;
+  /// Runs every stage, as inference (train=false) or as a cached training
+  /// forward pass. Returns class capsules [N, num_classes, dim]; their L2
+  /// lengths are the classification scores. `hook` may be null.
+  Tensor forward(const Tensor& x, bool train, PerturbationHook* hook);
 
   /// Shared-weight inference entry: forward(x, train=false, hook). Safe to
   /// call concurrently from several threads on one model instance — the
@@ -60,22 +66,19 @@ class CapsModel {
     return forward(x, /*train=*/false, hook);
   }
 
-  /// Number of stages of the segmented inference forward. Stage boundaries
-  /// sit immediately after hook-site emits, so a perturbation at a site
-  /// affects only the site's own stage and later ones. The base default is
-  /// a single stage (correct for any model, no prefix-cache benefit).
-  [[nodiscard]] virtual int num_stages() const { return 1; }
+  /// Number of stages. Stage boundaries sit immediately after hook-site
+  /// emits, so a perturbation at a site affects only the site's own stage
+  /// and later ones.
+  [[nodiscard]] virtual int num_stages() const = 0;
 
-  /// Runs stages [first, last) of an inference-only forward pass
-  /// (train=false semantics; safe to call concurrently from several
-  /// threads on one model). `state.at` must be sized num_stages() + 1 with
-  /// `at[first]` populated (`at[0]` = {x}); when `record` is true every
-  /// executed stage k also stores its boundary tensors into `at[k + 1]`.
-  /// Returns the class capsules when last == num_stages(), otherwise an
-  /// empty tensor. Running [0, num_stages()) is bit-identical to
-  /// forward(x, false, hook).
-  virtual Tensor forward_range(int first, int last, StageState& state,
-                               PerturbationHook* hook, bool record);
+  /// Runs stages [first, last) through forward's driver, as inference
+  /// (train=false; safe to call concurrently like infer). `state.at` holds
+  /// num_stages() + 1 boundaries with `at[first]` populated (`at[0]` = {x})
+  /// and read in place; `record` has every stage k write its output into
+  /// `at[k + 1]`. Returns the class capsules when last == num_stages(),
+  /// else an empty tensor. Aborts on a range or state outside these rules.
+  Tensor forward_range(int first, int last, StageState& state, PerturbationHook* hook,
+                       bool record);
 
   /// Backward from dL/d(class capsules); must follow forward(train=true).
   virtual Tensor backward(const Tensor& grad_v) = 0;
@@ -96,15 +99,23 @@ class CapsModel {
   [[nodiscard]] static Tensor class_lengths(const Tensor& v) {
     return ops::l2_norm_last_axis(v);
   }
-};
 
-/// Base fallback: the whole forward is one stage.
-inline Tensor CapsModel::forward_range(int first, int last, StageState& state,
-                                       PerturbationHook* hook, bool record) {
-  if (first != 0 || last != 1) return Tensor();
-  Tensor v = forward(state.at[0][0], /*train=*/false, hook);
-  if (record) state.at[1] = {v};
-  return v;
-}
+ protected:
+  /// The tensors handed from one stage to the next.
+  using Boundary = std::vector<Tensor>;
+
+  /// Runs stage k: reads boundary `in` without mutating it (it may be a
+  /// shared prefix-cache checkpoint) and appends boundary k + 1 to `out`,
+  /// which is empty on entry. In train mode it also caches what backward
+  /// needs.
+  virtual void stage(int k, std::span<const Tensor> in, Boundary& out, bool train,
+                     PerturbationHook* hook) = 0;
+
+ private:
+  /// The driver: stages [first, last) from `entry`, each writing its
+  /// boundary into `record->at[k + 1]` when recording, else into scratch.
+  Tensor run_stages(int first, int last, std::span<const Tensor> entry, bool train,
+                    PerturbationHook* hook, StageState* record);
+};
 
 }  // namespace redcane::capsnet

@@ -97,12 +97,12 @@ OpCounts routing_ops(std::int64_t m, std::int64_t in_caps, std::int64_t out_caps
 
 std::vector<LayerOps> count_capsnet_layers(const capsnet::CapsNetConfig& cfg) {
   std::vector<LayerOps> layers;
-  const std::int64_t h1 = cfg.input_hw - cfg.conv1_kernel + 1;
+  const std::int64_t h1 = capsnet::conv_out_extent(cfg.input_hw, cfg.conv1_kernel, 1, 0);
   layers.push_back(
       {"Conv1", conv_ops(h1, h1, cfg.conv1_channels, cfg.conv1_kernel, cfg.input_channels,
                          /*bias=*/true)});
 
-  const std::int64_t h2 = (h1 - cfg.primary_kernel) / cfg.primary_stride + 1;
+  const std::int64_t h2 = capsnet::conv_out_extent(h1, cfg.primary_kernel, cfg.primary_stride, 0);
   OpCounts primary = conv_ops(h2, h2, cfg.primary_types * cfg.primary_dim, cfg.primary_kernel,
                               cfg.conv1_channels, /*bias=*/true);
   primary += squash_ops(h2 * h2 * cfg.primary_types, cfg.primary_dim);
@@ -121,17 +121,15 @@ std::vector<LayerOps> count_capsnet_layers(const capsnet::CapsNetConfig& cfg) {
 std::vector<LayerOps> count_deepcaps_layers(const capsnet::DeepCapsConfig& cfg) {
   std::vector<LayerOps> layers;
   const std::int64_t t = cfg.types;
-  std::int64_t hw = cfg.input_hw;
+  std::int64_t hw = capsnet::conv_out_extent(cfg.input_hw, 3, 1, 1);
 
   layers.push_back({"Conv2D", conv_ops(hw, hw, t * cfg.dim_block1, 3, cfg.input_channels,
                                        /*bias=*/true)});
 
   int caps_id = 1;
-  auto caps2d = [&](std::int64_t ho, std::int64_t in_dim, std::int64_t out_dim,
-                    std::int64_t cin_hw) {
+  auto caps2d = [&](std::int64_t ho, std::int64_t in_dim, std::int64_t out_dim) {
     OpCounts c = conv_ops(ho, ho, t * out_dim, 3, t * in_dim, /*bias=*/true);
     c += squash_ops(ho * ho * t, out_dim);
-    (void)cin_hw;
     layers.push_back({"Caps2D" + std::to_string(caps_id++), c});
   };
 
@@ -139,12 +137,12 @@ std::vector<LayerOps> count_deepcaps_layers(const capsnet::DeepCapsConfig& cfg) 
     const std::int64_t in_dim = (blk == 0) ? cfg.dim_block1 : ((blk == 1) ? cfg.dim_block1
                                                                           : cfg.dim_rest);
     const std::int64_t out_dim = (blk == 0) ? cfg.dim_block1 : cfg.dim_rest;
-    const std::int64_t ho = (hw + 2 - 3) / 2 + 1;  // Strided entry layer.
-    caps2d(ho, in_dim, out_dim, hw);               // a (strided)
-    caps2d(ho, out_dim, out_dim, ho);              // b
-    caps2d(ho, out_dim, out_dim, ho);              // c
+    const std::int64_t ho = capsnet::conv_out_extent(hw, 3, 2, 1);  // Strided entry layer.
+    caps2d(ho, in_dim, out_dim);                                     // a (strided)
+    caps2d(ho, out_dim, out_dim);                                    // b
+    caps2d(ho, out_dim, out_dim);                                    // c
     if (blk < 3) {
-      caps2d(ho, out_dim, out_dim, ho);  // d (skip)
+      caps2d(ho, out_dim, out_dim);  // d (skip)
     } else {
       // Caps3D: convolutional votes + spatial routing.
       OpCounts c3;

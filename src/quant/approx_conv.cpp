@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/im2col.hpp"
-#include "quant/lut_cache.hpp"
 #include "tensor/workspace.hpp"
 
 namespace redcane::quant {
@@ -20,8 +19,6 @@ nn::ConvDims dims_of(const Tensor& x, const Tensor& w, const ApproxConvSpec& spe
 Tensor approx_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
                      const ApproxConvSpec& spec, const MacUnit& unit) {
   const nn::ConvDims d = dims_of(x, w, spec);
-  const QuantParams px = fit_params(x, spec.bits);
-  const QuantParams pw = fit_params(w, spec.bits);
 
   // All staging — operand code pools and the code patch matrix (laid out
   // for the orientation the shape rule picks) with its validity mask —
@@ -32,11 +29,7 @@ Tensor approx_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   // evaluates (quant/lut_gemm.hpp); an unpadded conv needs no mask.
   ws::Workspace& wksp = ws::Workspace::tls();
   const ws::Workspace::Scope scope(wksp);
-  std::uint8_t* qx = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(x.numel()));
-  std::uint8_t* qw = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(w.numel()));
-  quantize_u8(x, px, qx);
-  quantize_u8(w, pw, qw);
-  const gemm::lk::LutTables& tables = lut_cache_get(unit.mul, spec.bits);
+  const QuantOperands q(x, w, unit.mul, spec.bits, wksp);
 
   gemm::lk::LutProblem p;
   p.m = d.rows();
@@ -46,13 +39,14 @@ Tensor approx_conv2d(const Tensor& x, const Tensor& w, const Tensor& bias,
   std::uint8_t* cols = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(p.m * p.k));
   std::uint8_t* mask =
       d.pad > 0 ? wksp.alloc<std::uint8_t>(static_cast<std::size_t>(p.m * p.k)) : nullptr;
-  nn::im2col_codes(qx, d, cols, mask, p.lanes == gemm::lk::Lanes::kPositions);
+  nn::im2col_codes(q.qa, d, cols, mask, p.lanes == gemm::lk::Lanes::kPositions);
   p.a = cols;
   p.mask = mask;
-  p.b = qw;
+  p.b = q.qb;
 
   Tensor out(Shape{d.n, d.ho, d.wo, d.cout});
-  lut_gemm_dequant(p, px, pw, tables, unit.adder, bias.empty() ? nullptr : bias.data().data(),
+  lut_gemm_dequant(p, q.pa, q.pb, *q.tables, unit.adder,
+                   bias.empty() ? nullptr : bias.data().data(),
                    LutOutput{out.data().data(), d.cout, 0});
   return out;
 }

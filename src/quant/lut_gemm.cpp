@@ -102,39 +102,43 @@ void lut_gemm_dequant(const gemm::lk::LutProblem& p, const QuantParams& pa,
   });
 }
 
+QuantOperands::QuantOperands(const Tensor& a, const Tensor& b, const approx::Multiplier* mul,
+                             int bits, ws::Workspace& wksp)
+    : pa(fit_params(a, bits)),
+      pb(fit_params(b, bits)),
+      qa(wksp.alloc<std::uint8_t>(static_cast<std::size_t>(a.numel()))),
+      qb(wksp.alloc<std::uint8_t>(static_cast<std::size_t>(b.numel()))) {
+  quantize_u8(a, pa, qa);
+  quantize_u8(b, pb, qb);
+  tables = &lut_cache_get(mul, bits);
+}
+
 Tensor approx_matmul(const Tensor& a, const Tensor& b, const Tensor& bias,
                      const MacUnit& unit, int bits) {
   const std::int64_t m = a.shape().dim(0);
   const std::int64_t k = a.shape().dim(1);
   const std::int64_t n = b.shape().dim(1);
-  const QuantParams pa = fit_params(a, bits);
-  const QuantParams pb = fit_params(b, bits);
-
   ws::Workspace& wksp = ws::Workspace::tls();
   const ws::Workspace::Scope scope(wksp);
-  std::uint8_t* qa = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(a.numel()));
-  std::uint8_t* qb = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(b.numel()));
-  quantize_u8(a, pa, qa);
-  quantize_u8(b, pb, qb);
-  const gemm::lk::LutTables& tables = lut_cache_get(unit.mul, bits);
+  const QuantOperands q(a, b, unit.mul, bits, wksp);
 
   gemm::lk::LutProblem p;
   p.lanes = lut_lanes(m, n, k);
   p.m = m;
   p.n = n;
   p.k = k;
-  p.a = qa;
-  p.b = qb;
+  p.a = q.qa;
+  p.b = q.qb;
   if (p.lanes == gemm::lk::Lanes::kPositions) {
     std::uint8_t* tap_major = wksp.alloc<std::uint8_t>(static_cast<std::size_t>(a.numel()));
     for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t kk = 0; kk < k; ++kk) tap_major[kk * m + i] = qa[i * k + kk];
+      for (std::int64_t kk = 0; kk < k; ++kk) tap_major[kk * m + i] = q.qa[i * k + kk];
     }
     p.a = tap_major;
   }
   Tensor out(Shape{m, n});
-  lut_gemm_dequant(p, pa, pb, tables, unit.adder, bias.empty() ? nullptr : bias.data().data(),
-                   LutOutput{out.data().data(), n, 0});
+  lut_gemm_dequant(p, q.pa, q.pb, *q.tables, unit.adder,
+                   bias.empty() ? nullptr : bias.data().data(), LutOutput{out.data().data(), n, 0});
   return out;
 }
 

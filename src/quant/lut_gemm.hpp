@@ -24,6 +24,7 @@
 #include "quant/quantizer.hpp"
 #include "tensor/lut_kernel.hpp"
 #include "tensor/tensor.hpp"
+#include "tensor/workspace.hpp"
 
 namespace redcane::quant {
 
@@ -72,6 +73,21 @@ struct LutOutput {
 void lut_gemm_dequant(const gemm::lk::LutProblem& p, const QuantParams& pa,
                       const QuantParams& pb, const gemm::lk::LutTables& tables,
                       const approx::Adder* adder, const float* bias, const LutOutput& out);
+
+/// The prologue every emulated product shares: fits `bits`-wide params to
+/// each operand's empirical range, quantizes both into code buffers carved
+/// from `wksp` (the caller's open scope owns them) and fetches `mul`'s
+/// table from the process-wide cache (quant/lut_cache.hpp).
+struct QuantOperands {
+  QuantOperands(const Tensor& a, const Tensor& b, const approx::Multiplier* mul, int bits,
+                ws::Workspace& wksp);
+
+  QuantParams pa;
+  QuantParams pb;
+  std::uint8_t* qa;
+  std::uint8_t* qb;
+  const gemm::lk::LutTables* tables = nullptr;
+};
 
 /// Emulated matrix product: a [m, k] * b [k, n] (+ bias [n], may be empty)
 /// through `unit` at `bits`-wide operand quantization. Quantization params

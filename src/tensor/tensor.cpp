@@ -79,9 +79,11 @@ float Tensor::operator()(std::int64_t i0, std::int64_t i1, std::int64_t i2, std:
   return const_cast<Tensor*>(this)->operator()(i0, i1, i2, i3, i4);
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& { return Tensor(*this).reshaped(new_shape); }
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   if (new_shape.numel() != shape_.numel()) fail("reshape changes element count");
-  Tensor out = *this;
+  Tensor out = std::move(*this);
   out.shape_ = new_shape;
   return out;
 }

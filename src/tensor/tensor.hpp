@@ -60,7 +60,9 @@ class Tensor {
                                  std::int64_t i3, std::int64_t i4) const;
 
   /// Returns a tensor with identical data and a new shape of equal numel.
-  [[nodiscard]] Tensor reshaped(Shape new_shape) const;
+  [[nodiscard]] Tensor reshaped(Shape new_shape) const&;
+  /// The same, moving this tensor's data instead of copying it.
+  [[nodiscard]] Tensor reshaped(Shape new_shape) &&;
 
   /// Fills every element with `value`.
   void fill(float value);

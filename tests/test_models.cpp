@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <set>
 
 #include "capsnet/capsnet_model.hpp"
 #include "capsnet/deepcaps_model.hpp"
 #include "capsnet/serialize.hpp"
+#include "core/groups.hpp"
+#include "noise/injector.hpp"
 #include "tensor/ops.hpp"
+#include "util/pool.hpp"
 
 namespace redcane::capsnet {
 namespace {
@@ -188,6 +192,120 @@ TEST(ParamLayout, EmptyLayerOutputHasNoLayout) {
   DeepCapsConfig deepcaps = DeepCapsConfig::tiny();
   deepcaps.input_hw = 0;
   EXPECT_FALSE(deepcaps.param_layout().has_value());
+}
+
+/// Each argument forward_range must reject, and the message it aborts with.
+void expect_forward_range_checks(CapsModel& model, const Tensor& x) {
+  // Earlier tests started compute-pool threads: re-execute instead of forking.
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+  const int stages = model.num_stages();
+  StageState state;
+  state.at.resize(static_cast<std::size_t>(stages) + 1);
+  state.at[0] = {x};
+  EXPECT_DEATH((void)model.forward_range(-1, stages, state, nullptr, false), "first < 0");
+  EXPECT_DEATH((void)model.forward_range(2, 1, state, nullptr, false), "first > last");
+  EXPECT_DEATH((void)model.forward_range(0, stages + 1, state, nullptr, /*record=*/true),
+               "last > num_stages\\(\\)");
+  EXPECT_DEATH((void)model.forward_range(1, stages, state, nullptr, false),
+               "empty entry boundary");
+  StageState short_state;
+  short_state.at.resize(static_cast<std::size_t>(stages));
+  short_state.at[0] = {x};
+  EXPECT_DEATH((void)model.forward_range(0, 1, short_state, nullptr, /*record=*/true),
+               "state.at.size\\(\\) != num_stages\\(\\) \\+ 1");
+  // The same range over a well-formed state runs.
+  EXPECT_EQ(model.forward_range(0, stages, state, nullptr, false).shape().dim(0),
+            x.shape().dim(0));
+}
+
+TEST(CapsNetModel, ForwardRangeAbortsOnBadArguments) {
+  Rng rng(17);
+  CapsNetModel model(CapsNetConfig::tiny(), rng);
+  expect_forward_range_checks(model, ops::uniform(Shape{1, 28, 28, 1}, 0.0, 1.0, rng));
+}
+
+TEST(DeepCapsModel, ForwardRangeAbortsOnBadArguments) {
+  Rng rng(18);
+  DeepCapsModel model(DeepCapsConfig::tiny(), rng);
+  expect_forward_range_checks(model, ops::uniform(Shape{1, 16, 16, 3}, 0.0, 1.0, rng));
+}
+
+/// FNV-1a over the bit patterns of `t`'s floats, continuing from `h`.
+std::uint64_t fnv1a_floats(std::uint64_t h, const Tensor& t) {
+  for (const float v : t.data()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+/// Inference of `x`, then a noisy replay from every clean stage boundary
+/// with all four Table III groups injected.
+std::uint64_t infer_and_replay_digest(std::uint64_t h, CapsModel& model, const Tensor& x) {
+  h = fnv1a_floats(h, model.infer(x));
+  const int stages = model.num_stages();
+  StageState clean;
+  clean.at.resize(static_cast<std::size_t>(stages) + 1);
+  clean.at[0] = {x};
+  h = fnv1a_floats(h, model.forward_range(0, stages, clean, nullptr, /*record=*/true));
+  std::vector<noise::InjectionRule> rules;
+  for (const OpKind kind : core::all_groups()) {
+    rules.push_back(noise::group_rule(kind, noise::NoiseSpec{0.05, 0.01}));
+  }
+  for (int k = 0; k < stages; ++k) {
+    noise::GaussianInjector injector(rules, 77 + static_cast<std::uint64_t>(k));
+    StageState st;
+    st.at.resize(static_cast<std::size_t>(stages) + 1);
+    st.at[static_cast<std::size_t>(k)] = clean.at[static_cast<std::size_t>(k)];
+    h = fnv1a_floats(h, model.forward_range(k, stages, st, &injector, /*record=*/false));
+  }
+  return h;
+}
+
+/// One train-mode forward and backward: the input gradient and every
+/// parameter gradient.
+std::uint64_t train_step_digest(std::uint64_t h, CapsModel& model, const Tensor& x) {
+  const Tensor v = model.forward(x, /*train=*/true, nullptr);
+  h = fnv1a_floats(h, v);
+  h = fnv1a_floats(h, model.backward(v));
+  for (nn::Param* p : model.params()) h = fnv1a_floats(h, p->grad);
+  return h;
+}
+
+std::uint64_t forward_digest() {
+  Rng rng(2025);
+  CapsNetModel capsnet(CapsNetConfig::tiny(), rng);
+  DeepCapsModel deepcaps(DeepCapsConfig::tiny(), rng);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::int64_t batch : {1, 16}) {
+    h = infer_and_replay_digest(h, capsnet, ops::uniform(Shape{batch, 28, 28, 1}, 0.0, 1.0, rng));
+  }
+  h = infer_and_replay_digest(h, deepcaps, ops::uniform(Shape{4, 16, 16, 3}, 0.0, 1.0, rng));
+  h = train_step_digest(h, capsnet, ops::uniform(Shape{4, 28, 28, 1}, 0.0, 1.0, rng));
+  h = train_step_digest(h, deepcaps, ops::uniform(Shape{4, 16, 16, 3}, 0.0, 1.0, rng));
+  return h;
+}
+
+// Every float both models compute, pinned by value: inference at CapsNet
+// b1/b16 and DeepCaps b4, a noisy replay from each clean stage boundary,
+// and one train-mode forward + backward per model. Recorded before the
+// two models' stages were merged into one driver; any change to how
+// stages are run or handed off must leave it unchanged.
+TEST(Models, PinnedForwardDigest) {
+  const int saved = pool::threads();
+  for (const int threads : {1, 4}) {
+    pool::set_threads(threads);
+    EXPECT_EQ(forward_digest(), 0xE49E3276C10FBF39ULL) << "pool size " << threads;
+  }
+  pool::set_threads(saved);
 }
 
 }  // namespace
